@@ -64,9 +64,15 @@ class BlockBitmap:
     def set_range(self, start: int, count: int) -> list[int]:
         """Mark [start, start+count) used; returns dirtied bitmap blocks."""
         self._check(start, count)
-        if self._used[start : start + count].any():
+        if count == 1:
+            # Single bits (an MDS inode slot per create) skip the slice reduction.
+            if self._used[start]:
+                raise AllocationError(f"double allocation in [{start}, {start + 1})")
+            self._used[start] = True
+        elif self._used[start : start + count].any():
             raise AllocationError(f"double allocation in [{start}, {start + count})")
-        self._used[start : start + count] = True
+        else:
+            self._used[start : start + count] = True
         self._used_count += count
         self._rotor = start + count if start + count < self.size else 0
         return self._dirty_blocks(start, count)
@@ -74,9 +80,14 @@ class BlockBitmap:
     def clear_range(self, start: int, count: int) -> list[int]:
         """Mark [start, start+count) free; returns dirtied bitmap blocks."""
         self._check(start, count)
-        if not self._used[start : start + count].all():
+        if count == 1:
+            if not self._used[start]:
+                raise AllocationError(f"double free in [{start}, {start + 1})")
+            self._used[start] = False
+        elif not self._used[start : start + count].all():
             raise AllocationError(f"double free in [{start}, {start + count})")
-        self._used[start : start + count] = False
+        else:
+            self._used[start : start + count] = False
         self._used_count -= count
         # Rewind the rotor so freed slots are found again (first-fit reuse,
         # like ext3's bitmap scans from the group start).

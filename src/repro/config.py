@@ -338,8 +338,8 @@ class FSConfig:
     #:   into one policy call, coalesce physically adjacent requests before
     #:   submission (PVFS list-I/O style), use the numpy batch service-time
     #:   model inside each disk, and execute metadata access plans through
-    #:   ``BufferCache.read_batch`` / ``Journal.log_batch`` / the array
-    #:   submit path.
+    #:   ``BufferCache.read_batch`` / ``SimulatedDisk.submit_one`` / the
+    #:   array submit path.
     #: - ``"legacy"`` — the per-segment, per-request, per-read scalar paths
     #:   (same results, slower); kept for the perf runner's baseline
     #:   comparison.

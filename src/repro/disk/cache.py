@@ -40,6 +40,11 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
 
+#: :meth:`BufferCache._flush_moves` replays its distinct pending runs front
+#: to back while they average at most this many blocks each.
+_REPLAY_BLOCKS_PER_RUN = 16
+
+
 class BufferCache:
     """LRU block cache in front of one simulated disk."""
 
@@ -63,6 +68,11 @@ class BufferCache:
         # eviction, an invalidation — so the cache's LRU order is exactly
         # the scalar path's whenever that order can matter.
         self._pending_moves: list[tuple[int, int]] = []
+        #: Legacy readahead: a read within ``_ra_slack`` blocks below a
+        #: context's frontier belongs to that stream.
+        self._ra_slack = 2 * params.readahead_max_blocks
+        self._capacity = disk.params.capacity_blocks
+        self._counters = self.metrics.raw_counters()
         # -- adaptive profile state (inert under "legacy") ------------------
         self._adaptive = params.profile == "adaptive"
         #: A stream matches reads within ``slack`` blocks below its frontier
@@ -106,20 +116,32 @@ class BufferCache:
         sorted disjoint coverage list) instead of per-block sets: repeated
         warm sweeps of the same region collapse to one covered-interval
         test, and only the final ``move_to_end`` loop touches blocks.
+        Two steps cheaper than the interval walk come first.  A run that
+        recurs is a last move for none of its blocks except at its last
+        occurrence, so only each run's last occurrence is kept.  Short
+        runs left after that (a few blocks per plan read, the usual shape
+        between two checkpoints) are replayed front to back; long
+        overlapping sweeps take the walk.
         """
         pending = self._pending_moves
         if not pending:
             return
         move = self._lru.move_to_end
-        if len(pending) == 1:
-            start, end = pending[0]
-            for b in range(start, end):
-                move(b)
-            pending.clear()
+        runs = list(dict.fromkeys(reversed(pending)))
+        runs.reverse()
+        pending.clear()
+        blocks = sum(end - start for start, end in runs)
+        if blocks <= _REPLAY_BLOCKS_PER_RUN * len(runs):
+            for start, end in runs:
+                if end - start == 1:
+                    move(start)
+                else:
+                    for b in range(start, end):
+                        move(b)
             return
         covered: list[tuple[int, int]] = []  # sorted, disjoint
         segments: list[tuple[int, int]] = []  # uncovered pieces, reverse order
-        for start, end in reversed(pending):
+        for start, end in reversed(runs):
             if not covered:
                 segments.append((start, end))
                 covered.append((start, end))
@@ -151,7 +173,6 @@ class BufferCache:
         for start, end in reversed(segments):
             for b in range(start, end):
                 move(b)
-        pending.clear()
 
     def _insert(self, start: int, nblocks: int) -> None:
         if self.params.capacity_blocks == 0:
@@ -601,12 +622,35 @@ class BufferCache:
             for start, nblocks in reads:
                 total += read(start, nblocks)
             return total
+        if len(reads) == 1:
+            # The usual coalesced plan: the loop below, minus its set-up.
+            start, nblocks = reads[0]
+            end = start + nblocks
+            if 0 < nblocks and end <= self._capacity:
+                ra = self._ra
+                ctx_key = None
+                for k in ra:
+                    if k - self._ra_slack <= start <= k:
+                        ctx_key = k
+                        break
+                if ctx_key is None or end <= ctx_key:
+                    lru = self._lru
+                    if (
+                        start in lru if nblocks == 1
+                        else lru.keys() >= set(range(start, end))
+                    ):
+                        if ctx_key is not None:
+                            ra.move_to_end(ctx_key)
+                        self._pending_moves.append((start, end))
+                        self._counters["cache.hits"] += nblocks
+                        return 0.0
+            return self.read(start, nblocks)
         lru = self._lru
         keys = lru.keys()
         pend = self._pending_moves.append
         ra = self._ra
-        slack = 2 * self.params.readahead_max_blocks
-        capacity = self.disk.capacity_blocks
+        slack = self._ra_slack
+        capacity = self._capacity
         total = 0.0
         hits = 0
         for start, nblocks in reads:
@@ -632,7 +676,7 @@ class BufferCache:
                         continue
             total += self.read(start, nblocks)
         if hits:
-            self.metrics.incr("cache.hits", hits)
+            self._counters["cache.hits"] += hits
         return total
 
     def insert_blocks(self, blocks) -> None:

@@ -50,12 +50,15 @@ class SimulatedDisk:
         self._busy_s = 0.0
         self._partial_s = 0.0
         # Hoisted metric handles for submit_one (one journal commit write
-        # per metadata op makes the per-call lookup cost visible).  The
-        # counter mapping survives Metrics.reset(); the histogram refs
-        # follow histogram_ref's contract (no mid-run resets).
+        # per metadata op makes the per-call lookup cost visible).  All of
+        # them survive Metrics.reset().  submit_one leaves its histogram
+        # samples pending; fold_samples() folds them.
         self._counters = self.metrics.raw_counters()
+        self._accumulators = self.metrics.raw_accumulators()
         self._h_latency = self.metrics.histogram_ref("disk.request_latency_s")
         self._h_blocks = self.metrics.histogram_ref("disk.request_blocks")
+        self._latency_pending = self._h_latency.pending_append()
+        self._blocks_pending = self._h_blocks.pending_append()
         #: Optional fault injector (see :mod:`repro.fault`); None when the
         #: disk runs clean.
         self.injector = None
@@ -327,24 +330,29 @@ class SimulatedDisk:
                 f"{self.name}: request [{start}, {end}) beyond capacity "
                 f"{self.params.capacity_blocks}"
             )
-        header = self._charge_header()
+        model = self.model
+        header = self._charge_header() if model.header_s > 0.0 else 0.0
         counters = self._counters
         counters["scheduler.batches"] += 1
         counters["scheduler.requests_in"] += 1
         counters["scheduler.requests_out"] += 1
-        positioning = self.model.positioning_time(self._head, start)
-        transfer = self.model.transfer_time(nblocks)
+        if start == self._head:
+            positioning = 0.0
+        else:
+            positioning = model.positioning_time(self._head, start)
+            if positioning > 0.0:
+                counters["disk.positionings"] += 1
+        transfer = nblocks * model.transfer_s
         total = positioning + transfer
         self._head = end
         self._busy_s += total
-        self._h_latency.observe(total)
-        self._h_blocks.observe(nblocks)
+        self._latency_pending(total)
+        self._blocks_pending(nblocks)
         counters["disk.requests"] += 1
         counters["disk.blocks"] += nblocks
-        if positioning > 0.0:
-            counters["disk.positionings"] += 1
-        self.metrics.add("disk.positioning_s", positioning)
-        self.metrics.add("disk.transfer_s", transfer)
+        acc = self._accumulators
+        acc["disk.positioning_s"] = acc.get("disk.positioning_s", 0.0) + positioning
+        acc["disk.transfer_s"] = acc.get("disk.transfer_s", 0.0) + transfer
         if is_write:
             counters["disk.write_requests"] += 1
             counters["disk.write_blocks"] += nblocks
@@ -352,6 +360,11 @@ class SimulatedDisk:
             counters["disk.read_requests"] += 1
             counters["disk.read_blocks"] += nblocks
         return total + header
+
+    def fold_samples(self) -> None:
+        """Fold the histogram samples :meth:`submit_one` left pending."""
+        self._h_latency.fold()
+        self._h_blocks.fold()
 
     def reset_timeline(self) -> None:
         """Zero the busy-time accumulator (head position is retained)."""

@@ -83,7 +83,8 @@ class ServiceTimeModel:
 
     def __init__(self, params: DiskParams) -> None:
         self.params = params
-        self._transfer = params.transfer_s_per_block
+        #: Seconds to transfer one block at the sequential rate.
+        self.transfer_s = params.transfer_s_per_block
         self._span = float(params.capacity_blocks)
         #: Per-submission request-header charge (0 by default).  A
         #: scatter-gather list submission pays this once for its whole
@@ -107,7 +108,7 @@ class ServiceTimeModel:
         """Seconds to transfer ``nblocks`` at the sequential rate."""
         if nblocks < 0:
             raise SimulationError(f"negative block count: {nblocks}")
-        return nblocks * self._transfer
+        return nblocks * self.transfer_s
 
     def service_time(self, head: int, request: BlockRequest) -> float:
         """Total service time for ``request`` with the head at ``head``."""
@@ -158,7 +159,7 @@ class ServiceTimeModel:
             0.0,
             np.where(dist <= p.near_gap_blocks, p.min_seek_s, seek + p.rotational_s),
         )
-        transfer = nblocks * self._transfer
+        transfer = nblocks * self.transfer_s
         return positioning, transfer
 
     def sweep_cost(self, runs: Iterable[tuple[int, int]]) -> tuple[float, int]:

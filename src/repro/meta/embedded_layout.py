@@ -41,11 +41,12 @@ class EmbeddedDir:
     #: Fragmentation-degree inputs (§IV.A).
     file_count: int = 0
     record_sum: int = 0
-    #: Memo for ``EmbeddedLayout._content_reads``: (validation key, runs).
-    #: The key — (used blocks, number of content runs) — changes on every
-    #: extend and never on lazy-free (reclaimed slots stay inside the used
-    #: region), so a stale memo is impossible.
-    reads_memo: tuple[tuple[int, int], list[tuple[int, int]]] | None = field(
+    #: Memo for ``EmbeddedLayout._content_memo``: (validation key, runs,
+    #: folded reads, raw spans seen).  The key — (used blocks, number of
+    #: content runs) — changes on every extend and never on lazy-free
+    #: (reclaimed slots stay inside the used region), so a stale memo is
+    #: impossible.
+    reads_memo: tuple | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -147,7 +148,7 @@ class EmbeddedLayout(DirectoryLayout):
         ino = self._require_present(parent.entries, name)
         inode = self._inodes[ino]
         inode.touch(now)
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         plan.dirties.append(inode.home_block)
         return plan
 
@@ -159,7 +160,7 @@ class EmbeddedLayout(DirectoryLayout):
             raise MetadataError(f"negative extent record count: {count}")
         parent.record_sum += count - inode.extent_records
         inode.extent_records = count
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         plan.dirties.append(inode.home_block)
         needed = self._mapping_blocks_needed(count)
         while len(inode.spill_blocks) < needed:
@@ -179,7 +180,7 @@ class EmbeddedLayout(DirectoryLayout):
         """§IV.B: moving a file moves its inode bytes, changes its inode
         number, and records the old↔new correlation."""
         plan = self._lookup_plan(src_dir, src_name, expect=True)
-        plan = plan.merge(self._lookup_plan(dst_dir, dst_name, expect=None))
+        self._lookup_plan(dst_dir, dst_name, expect=None, plan=plan)
         old_ino = self._require_present(src_dir.entries, src_name)
         self._require_absent(dst_dir.entries, dst_name)
         inode = self._inodes.pop(old_ino)
@@ -192,8 +193,7 @@ class EmbeddedLayout(DirectoryLayout):
             src_dir.file_count -= 1
             src_dir.record_sum -= inode.extent_records
         # Allocate a destination slot and re-number the inode.
-        offset, home_block, home_slot, extend_plan = self._take_slot(dst_dir)
-        plan = plan.merge(extend_plan)
+        offset, home_block, home_slot = self._take_slot(dst_dir, plan)
         new_ino = encode_ino(dst_dir.dir_id, offset)
         inode.ino = new_ino
         inode.name = dst_name
@@ -226,7 +226,7 @@ class EmbeddedLayout(DirectoryLayout):
         plan = self._lookup_plan(parent, name, expect=True)
         ino = self._require_present(parent.entries, name)
         inode = self._inodes[ino]
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         plan.journal_records = 0
         return (inode, plan)
 
@@ -267,9 +267,9 @@ class EmbeddedLayout(DirectoryLayout):
         plan = self._lookup_plan(parent, name, expect=True)
         ino = self._require_present(parent.entries, name)
         inode = self._inodes[ino]
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         for blk in inode.spill_blocks:
-            plan.reads.append((blk, 1))
+            plan.add_read(blk, 1)
         plan.journal_records = 0
         return (inode, plan)
 
@@ -294,10 +294,7 @@ class EmbeddedLayout(DirectoryLayout):
         self, parent: EmbeddedDir, name: str, now: float, is_dir: bool, plan: AccessPlan
     ) -> tuple[Inode, None]:
         self._require_absent(parent.entries, name)
-        offset, home_block, home_slot, extend_plan = self._take_slot(parent)
-        for r in extend_plan.reads:
-            plan.reads.append(r)
-        plan.dirties += extend_plan.dirties
+        offset, home_block, home_slot = self._take_slot(parent, plan)
         ino = encode_ino(parent.dir_id, offset)
         inode = Inode(
             ino=ino, is_dir=is_dir, name=name, parent_dir_id=parent.ino,
@@ -311,9 +308,9 @@ class EmbeddedLayout(DirectoryLayout):
         plan.dirties.append(parent_inode.home_block)
         return (inode, None)
 
-    def _take_slot(self, d: EmbeddedDir) -> tuple[int, int, int, AccessPlan]:
-        """Claim a content slot, extending the content if needed."""
-        plan = AccessPlan(journal_records=0)
+    def _take_slot(self, d: EmbeddedDir, plan: AccessPlan) -> tuple[int, int, int]:
+        """Claim a content slot, extending the content if needed; an
+        extension's bitmap dirties go to ``plan``."""
         if d.free_offsets:
             offset = d.free_offsets.pop()
         else:
@@ -332,7 +329,7 @@ class EmbeddedLayout(DirectoryLayout):
             offset = d.next_offset
             d.next_offset += 1
         block = self._block_of_offset(d, offset)
-        return (offset, block, offset % self.slots_per_block, plan)
+        return (offset, block, offset % self.slots_per_block)
 
     def _block_of_offset(self, d: EmbeddedDir, offset: int) -> int:
         idx = offset // self.slots_per_block
@@ -343,35 +340,51 @@ class EmbeddedLayout(DirectoryLayout):
         raise MetadataError(f"offset {offset} beyond directory content")
 
     def _content_reads(self, d: EmbeddedDir) -> list[tuple[int, int]]:
+        # Copy: callers extend the run list in place when building plans.
+        return list(self._content_memo(d)[1])
+
+    def _content_memo(self, d: EmbeddedDir) -> tuple:
+        """``(key, used content runs, their folded reads, raw spans seen)``,
+        memoized per directory (read-only)."""
         used_blocks = -(-d.next_offset // self.slots_per_block) if d.next_offset else 0
         key = (used_blocks, len(d.content_runs))
         memo = d.reads_memo
         if memo is not None and memo[0] == key:
-            # Copy: callers extend the run list in place when building plans.
-            return list(memo[1])
-        reads: list[tuple[int, int]] = []
+            return memo
+        runs: list[tuple[int, int]] = []
         remaining = used_blocks
         for start, count in d.content_runs:
             take = min(count, remaining)
             if take <= 0:
                 break
-            reads.append((start, take))
+            runs.append((start, take))
             remaining -= take
-        d.reads_memo = (key, reads)
-        return list(reads)
+        folded = AccessPlan(seen=set())
+        for start, count in runs:
+            folded.add_read(start, count)
+        memo = d.reads_memo = (key, runs, tuple(folded.reads), frozenset(folded.seen))
+        return memo
 
-    def _lookup_plan(self, d: EmbeddedDir, name: str, expect: bool | None) -> AccessPlan:
+    def _lookup_plan(
+        self, d: EmbeddedDir, name: str, expect: bool | None,
+        plan: AccessPlan | None = None,
+    ) -> AccessPlan:
         """Ceph-style whole-directory prefetch: a cold lookup reads the full
         content (one sequential sweep); warm lookups hit the cache.  The
-        in-memory name index (§IV.C) makes the CPU cost hash-constant."""
+        in-memory name index (§IV.C) makes the CPU cost hash-constant.
+        The footprint is folded into ``plan`` (a new plan when ``None``)."""
         if expect is True and name not in d.entries:
             raise FileNotFound(name)
         if expect is None and name in d.entries:
             raise FileExists(name)
-        return AccessPlan(
-            reads=self._content_reads(d),
-            cpu_s=self.params.htree_lookup_cpu_s,
-        )
+        _, runs, reads, seen = self._content_memo(d)
+        if plan is None:
+            plan = AccessPlan(reads=list(reads), seen=set(seen))
+        else:
+            for start, count in runs:
+                plan.add_read(start, count)
+        plan.cpu_s += self.params.htree_lookup_cpu_s
+        return plan
 
     def _lazy_free(self, d: EmbeddedDir) -> AccessPlan:
         """§IV.A: batched reclamation of dead slots in one directory."""

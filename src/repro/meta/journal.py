@@ -16,7 +16,7 @@ from repro.disk.model import BlockRequest
 from repro.errors import MetadataError
 
 
-@dataclass
+@dataclass(slots=True)
 class JournalRecord:
     """One write-ahead record: which home blocks an operation dirties.
 
@@ -61,75 +61,69 @@ class Journal:
 
         Wrapping produces two requests (tail + restart at base).
         """
+        return [
+            BlockRequest(start, count, is_write=True)
+            for start, count in self._advance(nblocks)
+        ]
+
+    def _advance(self, nblocks: int) -> list[tuple[int, int]]:
+        """Move the head past ``nblocks`` commit blocks; returns the
+        ``(start, nblocks)`` spans written, one per wrap."""
         if nblocks <= 0:
             raise MetadataError(f"journal append of {nblocks} blocks")
-        if nblocks > self.nblocks:
+        size = self.nblocks
+        if nblocks > size:
             raise MetadataError(
-                f"journal append of {nblocks} exceeds region of {self.nblocks}"
+                f"journal append of {nblocks} exceeds region of {size}"
             )
-        requests: list[BlockRequest] = []
-        remaining = nblocks
-        while remaining > 0:
-            chunk = min(remaining, self.nblocks - self._head)
-            requests.append(
-                BlockRequest(self.base_block + self._head, chunk, is_write=True)
-            )
-            self._head = (self._head + chunk) % self.nblocks
-            remaining -= chunk
         self.records_written += nblocks
-        return requests
+        head = self._head
+        tail = size - head
+        if nblocks < tail:
+            self._head = head + nblocks
+            return [(self.base_block + head, nblocks)]
+        self._head = nblocks - tail
+        if nblocks == tail:
+            return [(self.base_block + head, nblocks)]
+        return [(self.base_block + head, tail), (self.base_block, nblocks - tail)]
 
     # -- write-ahead records --------------------------------------------------
     def log(
         self, dirties: list[int] | tuple[int, ...], nblocks: int = 1
-    ) -> tuple[JournalRecord, list[BlockRequest]]:
+    ) -> tuple[JournalRecord, list[tuple[int, int]]]:
         """Start a write-ahead record for an operation dirtying ``dirties``.
 
-        Returns the (uncommitted) record plus the commit-block write
-        requests; the caller submits the writes and, if they all reached
-        the disk intact, acknowledges with :meth:`commit`.
+        Returns the (uncommitted) record plus its commit-block write spans
+        as ``(start, nblocks)`` pairs, one per wrap of the circular region;
+        the caller writes them and, if they all reached the disk intact,
+        acknowledges with :meth:`commit`.
         """
-        record = JournalRecord(
-            seq=self._seq, block=self.head_block, dirties=tuple(dirties)
-        )
+        record = JournalRecord(self._seq, self.base_block + self._head, tuple(dirties))
         self._seq += 1
         self._records.append(record)
-        return (record, self.append(nblocks))
+        return (record, self._advance(nblocks))
 
     def log_batch(
         self, entries
-    ) -> tuple[list[JournalRecord], list[BlockRequest], list[tuple[int, int]]]:
-        """Group commit: write-ahead records for a batch of operations.
+    ) -> tuple[list[JournalRecord], list[tuple[int, int]], list[tuple[int, int]]]:
+        """Write-ahead records for a sequence of ``(dirties, nblocks)``
+        operations: per-record :meth:`log` calls, concatenated.
 
-        ``entries`` is a sequence of ``(dirties, nblocks)`` pairs, one per
-        operation.  Returns ``(records, requests, spans)``: the records in
-        entry order, the flat commit-write request list for the whole
-        group, and ``spans[i] = (lo, hi)`` slicing the requests belonging
-        to ``records[i]``.
-
-        Each operation's commit blocks pack into the shared circular
-        region exactly as per-record :meth:`log` calls would — group
-        commit batches the bookkeeping, it never merges or reorders commit
-        writes *across* records.  That keeps torn-commit semantics
-        per-record: the caller submits each record's request span and
-        acknowledges :meth:`commit` only for records whose span reached
-        the platter intact, so replay/truncate behavior is identical to
-        the per-record path at every crash point.
+        Returns ``(records, spans, slices)``: the records in entry order,
+        the flat commit-write span list, and ``slices[i] = (lo, hi)``
+        indexing the spans of ``records[i]``.  Commit writes are never
+        merged or reordered across records, so torn-commit semantics stay
+        per record.
         """
-        if len(entries) == 1:
-            dirties, nblocks = entries[0]
-            record, reqs = self.log(dirties, nblocks)
-            return ([record], reqs, [(0, len(reqs))])
         records: list[JournalRecord] = []
-        requests: list[BlockRequest] = []
         spans: list[tuple[int, int]] = []
+        slices: list[tuple[int, int]] = []
         for dirties, nblocks in entries:
-            record, reqs = self.log(dirties, nblocks)
+            record, own = self.log(dirties, nblocks)
             records.append(record)
-            lo = len(requests)
-            requests.extend(reqs)
-            spans.append((lo, len(requests)))
-        return (records, requests, spans)
+            slices.append((len(spans), len(spans) + len(own)))
+            spans += own
+        return (records, spans, slices)
 
     def commit(self, record: JournalRecord) -> None:
         """Mark ``record`` durable (its commit write hit the platter)."""

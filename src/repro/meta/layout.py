@@ -24,7 +24,7 @@ from repro.meta.mfs import MetadataFS
 from repro.obs.trace import NULL_TRACER
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessPlan:
     """Block-level footprint of one metadata operation.
 
@@ -33,21 +33,62 @@ class AccessPlan:
     (flushed by checkpoints).  ``cpu_s`` charges in-memory work (entry
     comparisons, hash lookups).  ``journal_records`` scales the sequential
     journal append.
+
+    Layouts build ``reads`` through :meth:`add_read`, which applies
+    :meth:`coalesce`'s fold one span at a time, so their plans arrive
+    coalesced.  ``seen`` holds the raw spans folded so far; it is ``None``
+    while ``reads`` is a raw list that :meth:`coalesce` has yet to fold.
     """
 
     reads: list[tuple[int, int]] = field(default_factory=list)
     dirties: list[int] = field(default_factory=list)
     cpu_s: float = 0.0
     journal_records: int = 1
+    seen: set[tuple[int, int]] | None = field(default=None, repr=False, compare=False)
+
+    def add_read(self, start: int, count: int) -> None:
+        """Append one read span through :meth:`coalesce`'s fold step.
+
+        Building a plan span by span this way leaves ``reads`` equal to
+        ``coalesce()`` of the raw span list, without the second pass.
+        """
+        seen = self.seen
+        if seen is None:
+            raw, self.reads = self.reads, []
+            seen = self.seen = set()
+            for s, c in raw:
+                self.add_read(s, c)
+        span = (start, count)
+        if span in seen:
+            return
+        seen.add(span)
+        reads = self.reads
+        if reads:
+            s0, c0 = reads[-1]
+            end = s0 + c0
+            if s0 <= start and start + count <= end:
+                return
+            if start == end and count > 0:
+                reads[-1] = (s0, c0 + count)
+                return
+        reads.append(span)
 
     def merge(self, other: "AccessPlan") -> "AccessPlan":
-        """Combine two sub-plans into one operation (aggregated op pairs)."""
-        return AccessPlan(
-            reads=self.reads + other.reads,
-            dirties=self.dirties + other.dirties,
-            cpu_s=self.cpu_s + other.cpu_s,
-            journal_records=max(self.journal_records, other.journal_records),
-        )
+        """Fold a sub-plan into this one (aggregated op pairs); returns self.
+
+        ``other``'s reads continue this plan's fold as raw spans, so a
+        sub-plan that carries reads must be a raw (constructor-built) plan:
+        the spans a sub-plan's own fold dropped cannot be replayed.
+        """
+        if other.reads:
+            if other.seen is not None:
+                raise ValueError("merge() needs a sub-plan with raw reads")
+            for s, c in other.reads:
+                self.add_read(s, c)
+        self.dirties += other.dirties
+        self.cpu_s += other.cpu_s
+        self.journal_records = max(self.journal_records, other.journal_records)
+        return self
 
     def read_block_count(self) -> int:
         return sum(c for _, c in self.reads)
@@ -67,29 +108,12 @@ class AccessPlan:
         - a span starting exactly where the preceding span ends extends it.
 
         Reads are never reordered.  Returns ``self`` unchanged when the
-        plan has nothing to collapse.
+        plan was built through :meth:`add_read` (already folded) or has
+        nothing to collapse.
         """
         reads = self.reads
-        if len(reads) <= 1:
+        if self.seen is not None or len(reads) <= 1:
             return self
-        if len(reads) == 2:
-            # The dominant plan shape (content span + home block) inlined:
-            # the general loop's set/list machinery costs more than the
-            # whole comparison.
-            (s0, c0), (s1, c1) = reads
-            e0 = s0 + c0
-            if s0 <= s1 and s1 + c1 <= e0:
-                merged = [reads[0]]
-            elif s1 == e0 and c1 > 0:
-                merged = [(s0, c0 + c1)]
-            else:
-                return self
-            return AccessPlan(
-                reads=merged,
-                dirties=self.dirties,
-                cpu_s=self.cpu_s,
-                journal_records=self.journal_records,
-            )
         n = len(reads)
         if n >= 64:
             starts = np.fromiter((s for s, _ in reads), dtype=np.int64, count=n)
@@ -117,30 +141,17 @@ class AccessPlan:
                     cpu_s=self.cpu_s,
                     journal_records=self.journal_records,
                 )
-        out: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        prev_start = prev_end = -1
-        for span in reads:
-            if span in seen:
-                continue
-            seen.add(span)
-            start, count = span
-            if prev_start <= start and start + count <= prev_end:
-                continue
-            if start == prev_end and count > 0:
-                prev_start, prev_end = out[-1][0], prev_end + count
-                out[-1] = (prev_start, prev_end - prev_start)
-                continue
-            out.append(span)
-            prev_start, prev_end = start, start + count
-        if len(out) == len(reads):
-            return self
-        return AccessPlan(
-            reads=out,
+        out = AccessPlan(
             dirties=self.dirties,
             cpu_s=self.cpu_s,
             journal_records=self.journal_records,
+            seen=set(),
         )
+        for s, c in reads:
+            out.add_read(s, c)
+        if len(out.reads) == n:
+            return self
+        return out
 
 
 class DirectoryLayout(abc.ABC):

@@ -84,6 +84,8 @@ class MetadataServer:
         self._req_overhead_s = config.mds_request_overhead_s
         self._counters = self.metrics.raw_counters()
         self._op_latency = self.metrics.histogram_ref("mds.op_latency_s")
+        #: Defers a journaled op's latency sample; checkpoints fold them.
+        self._op_latency_pending = self._op_latency.pending_append()
         self._op_keys: dict[str, str] = {}
 
     # -- timing --------------------------------------------------------------
@@ -173,7 +175,13 @@ class MetadataServer:
 
     # -- maintenance -----------------------------------------------------------
     def checkpoint(self) -> int:
-        """Flush dirty home blocks; returns the number of dirty blocks."""
+        """Flush dirty home blocks; returns the number of dirty blocks.
+
+        Also folds the histogram samples the batched op path left pending,
+        which bounds them by the checkpoint interval.
+        """
+        self._op_latency.fold()
+        self.disk.fold_samples()
         if not self._dirty:
             self._ops_since_ckpt = 0
             self.journal.truncate()  # nothing dirty: no record needs replay
@@ -283,7 +291,6 @@ class MetadataServer:
         return self.elapsed_s
 
     def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
-        plan = plan.coalesce()
         if (
             self._meta_batching
             and self.disk.injector is None
@@ -291,16 +298,15 @@ class MetadataServer:
         ):
             self._execute_batched(plan, op_name, requests)
             return
+        plan = plan.coalesce()
         t0 = self.elapsed_s
         for block, count in plan.reads:
             self.cache.read(block, count)
         if plan.journal_records > 0 and self.config.meta.sync_writes:
-            record, requests_j = self.journal.log(
-                plan.dirties, plan.journal_records
-            )
+            record, spans = self.journal.log(plan.dirties, plan.journal_records)
             torn_before = self.disk.torn_writes
-            for req in requests_j:
-                self.disk.submit(req)
+            for start, nblocks in spans:
+                self.disk.submit(BlockRequest(start, nblocks, is_write=True))
             self.metrics.incr("mds.journal_writes", plan.journal_records)
             if self.disk.torn_writes > torn_before:
                 # The commit record hit the platter torn: write-ahead rules
@@ -330,42 +336,54 @@ class MetadataServer:
             self.tracer.emit("meta", op_name, t=t0, dur=elapsed)
 
     def _execute_batched(self, plan: AccessPlan, op_name: str, requests: int) -> None:
-        """Batched replay of the scalar :meth:`_execute` body.
+        """The per-op pipeline of the batched profile.
 
-        Same simulated effects in the same order — plan reads through
-        :meth:`BufferCache.read_batch`, the journal commit through
-        :meth:`Journal.log_batch` — with per-op bookkeeping hoisted out of
-        the interpreter's way.  Only reached with no fault injector armed
-        and tracing off, so the commit write cannot tear (the scalar
-        path's torn-record branch is unreachable) and no per-op trace
-        events are owed.
+        Same simulated effects in the same order as the scalar
+        :meth:`_execute`: the plan's reads go through
+        :meth:`BufferCache.read_batch`, its journal record is logged and
+        its commit spans written through :meth:`SimulatedDisk.submit_one`,
+        its dirties join the checkpoint set, and the op latency lands in
+        the histogram's pending samples.  Layout plans arrive coalesced
+        (built through :meth:`AccessPlan.add_read`); only raw ones, such as
+        readdir sweeps, are coalesced here.  Only reached with no fault
+        injector armed and tracing off, so the commit write cannot tear
+        (the scalar path's torn-record branch is unreachable) and no per-op
+        trace events are owed.
         """
+        if plan.seen is None:
+            plan = plan.coalesce()
         disk = self.disk
+        counters = self._counters
         t0 = disk.busy_s + self._cpu_s + self._overhead_s
-        if plan.reads:
-            self.cache.read_batch(plan.reads)
+        reads, dirties = plan.reads, plan.dirties
+        if reads:
+            self.cache.read_batch(reads)
         journal_records = plan.journal_records
         if journal_records > 0 and self._sync_writes:
-            records, reqs, _ = self.journal.log_batch(
-                ((plan.dirties, journal_records),)
-            )
-            for req in reqs:
-                disk.submit_one(req.start, req.nblocks, req.is_write)
-            self._counters["mds.journal_writes"] += journal_records
-            self.journal.commit(records[0])
-        if plan.dirties:
-            self._dirty.update(plan.dirties)
+            record, spans = self.journal.log(dirties, journal_records)
+            for start, nblocks in spans:
+                disk.submit_one(start, nblocks, True)
+            counters["mds.journal_writes"] += journal_records
+            record.committed = True
+        if dirties:
+            self._dirty.update(dirties)
         self._cpu_s += plan.cpu_s
         self._overhead_s += requests * self._req_overhead_s
         self.ops += 1
         key = self._op_keys.get(op_name)
         if key is None:
             key = self._op_keys[op_name] = f"mds.op.{op_name}"
-        self._counters[key] += 1
+        counters[key] += 1
         if journal_records > 0:
             self._ops_since_ckpt += 1
             if self._ops_since_ckpt >= self._ckpt_interval:
                 self.checkpoint()
-        self._op_latency.observe(
-            disk.busy_s + self._cpu_s + self._overhead_s - t0
-        )
+            # Left pending: the checkpoint folds them, so at most one
+            # interval's worth wait.
+            self._op_latency_pending(
+                disk.busy_s + self._cpu_s + self._overhead_s - t0
+            )
+        else:
+            self._op_latency.observe(
+                disk.busy_s + self._cpu_s + self._overhead_s - t0
+            )

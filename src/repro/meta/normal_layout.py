@@ -33,6 +33,12 @@ class NormalDir:
     fill: list[int] = field(default_factory=list)  # entries per dentry block
     entries: dict[str, int] = field(default_factory=dict)  # name -> ino
     entry_block: dict[str, int] = field(default_factory=dict)  # name -> abs block
+    #: Folded reads of each scanned prefix of ``dentry_blocks``, by prefix
+    #: length: (reads, raw spans seen).  Never stale, because
+    #: ``dentry_blocks`` only grows at its end.
+    scan_memo: dict[int, tuple[tuple[tuple[int, int], ...], frozenset]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 class NormalLayout(DirectoryLayout):
@@ -75,7 +81,7 @@ class NormalLayout(DirectoryLayout):
         d = NormalDir(ino=ino_index, group=group)
         self._dirs[ino_index] = d
         plan.dirties += bitmap_dirty + [home_block]
-        plan = plan.merge(self._append_entry(parent, name, ino_index))
+        self._append_entry(plan, parent, name, ino_index)
         plan.dirties += self._add_dentry_block(d)
         parent_inode = self._inodes[parent.ino]
         parent_inode.touch(now)
@@ -94,7 +100,7 @@ class NormalLayout(DirectoryLayout):
         )
         self._inodes[ino_index] = inode
         plan.dirties += bitmap_dirty + [home_block]
-        plan = plan.merge(self._append_entry(parent, name, ino_index))
+        self._append_entry(plan, parent, name, ino_index)
         parent_inode = self._inodes[parent.ino]
         parent_inode.touch(now)
         plan.dirties.append(parent_inode.home_block)
@@ -128,7 +134,7 @@ class NormalLayout(DirectoryLayout):
         ino = self._require_present(parent.entries, name)
         inode = self._inodes[ino]
         inode.touch(now)
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         plan.dirties.append(inode.home_block)
         return plan
 
@@ -139,7 +145,7 @@ class NormalLayout(DirectoryLayout):
         if count < 0:
             raise MetadataError(f"negative extent record count: {count}")
         inode.extent_records = count
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         plan.dirties.append(inode.home_block)
         needed = self._mapping_blocks_needed(count)
         while len(inode.spill_blocks) < needed:
@@ -155,7 +161,7 @@ class NormalLayout(DirectoryLayout):
         self, src_dir: NormalDir, src_name: str, dst_dir: NormalDir, dst_name: str, now: float
     ) -> AccessPlan:
         plan = self._lookup_plan(src_dir, src_name, expect=True)
-        plan = plan.merge(self._lookup_plan(dst_dir, dst_name, expect=None))
+        self._lookup_plan(dst_dir, dst_name, expect=None, plan=plan)
         ino = self._require_present(src_dir.entries, src_name)
         self._require_absent(dst_dir.entries, dst_name)
         inode = self._inodes[ino]
@@ -166,7 +172,7 @@ class NormalLayout(DirectoryLayout):
         idx = src_dir.dentry_blocks.index(block)
         src_dir.fill[idx] -= 1
         del src_dir.entries[src_name]
-        plan = plan.merge(self._append_entry(dst_dir, dst_name, ino))
+        self._append_entry(plan, dst_dir, dst_name, ino)
         inode.name = dst_name
         inode.parent_dir_id = dst_dir.ino
         inode.touch(now)
@@ -182,7 +188,7 @@ class NormalLayout(DirectoryLayout):
         plan = self._lookup_plan(parent, name, expect=True)
         ino = self._require_present(parent.entries, name)
         inode = self._inodes[ino]
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         plan.journal_records = 0
         return (inode, plan)
 
@@ -220,9 +226,9 @@ class NormalLayout(DirectoryLayout):
         plan = self._lookup_plan(parent, name, expect=True)
         ino = self._require_present(parent.entries, name)
         inode = self._inodes[ino]
-        plan.reads.append((inode.home_block, 1))
+        plan.add_read(inode.home_block, 1)
         for blk in inode.spill_blocks:
-            plan.reads.append((blk, 1))
+            plan.add_read(blk, 1)
         plan.journal_records = 0
         return (inode, plan)
 
@@ -233,34 +239,54 @@ class NormalLayout(DirectoryLayout):
         except KeyError:
             raise FileNotFound(f"no directory inode {ino}") from None
 
-    def _lookup_plan(self, d: NormalDir, name: str, expect: bool | None) -> AccessPlan:
-        """Read footprint of a linear dentry scan for ``name``.
+    def _lookup_plan(
+        self, d: NormalDir, name: str, expect: bool | None,
+        plan: AccessPlan | None = None,
+    ) -> AccessPlan:
+        """Read footprint of a linear dentry scan for ``name``, folded into
+        ``plan`` (a new plan when ``None``).
 
         ``expect`` asserts presence (True) or absence (None allows either);
         consistency errors raise before any state changes.
         """
-        if expect is True and name not in d.entries:
+        entries = d.entries
+        present = name in entries
+        if expect is True and not present:
             raise FileNotFound(name)
-        if expect is None and name in d.entries:
+        if expect is None and present:
             raise FileExists(name)
-        if name in d.entries:
-            target = d.entry_block[name]
-            idx = d.dentry_blocks.index(target)
-            scanned_blocks = d.dentry_blocks[: idx + 1]
-            scanned_entries = sum(d.fill[: idx + 1])
+        if present:
+            # .index also rejects an entry whose block left the directory.
+            scanned = d.dentry_blocks.index(d.entry_block[name]) + 1
+            if self.params.htree_index:
+                # Htree reads only the hashed bucket's block.
+                if plan is None:
+                    plan = AccessPlan()
+                plan.add_read(d.entry_block[name], 1)
+                plan.cpu_s += self._lookup_cpu(0)
+                return plan
+            scanned_entries = sum(d.fill[:scanned])
         else:
-            scanned_blocks = list(d.dentry_blocks)
-            scanned_entries = len(d.entries)
-        if self.params.htree_index and name in d.entries:
-            # Htree reads only the hashed bucket's block.
-            scanned_blocks = [d.entry_block[name]]
-        return AccessPlan(
-            reads=[(b, 1) for b in scanned_blocks],
-            cpu_s=self._lookup_cpu(scanned_entries),
-        )
+            scanned = len(d.dentry_blocks)
+            scanned_entries = len(entries)
+        if plan is None:
+            memo = d.scan_memo.get(scanned)
+            if memo is None:
+                plan = AccessPlan(seen=set())
+                for b in d.dentry_blocks[:scanned]:
+                    plan.add_read(b, 1)
+                d.scan_memo[scanned] = (tuple(plan.reads), frozenset(plan.seen))
+            else:
+                plan = AccessPlan(reads=list(memo[0]), seen=set(memo[1]))
+        else:
+            for b in d.dentry_blocks[:scanned]:
+                plan.add_read(b, 1)
+        plan.cpu_s += self._lookup_cpu(scanned_entries)
+        return plan
 
-    def _append_entry(self, d: NormalDir, name: str, ino: int) -> AccessPlan:
-        plan = AccessPlan(journal_records=0)
+    def _append_entry(
+        self, plan: AccessPlan, d: NormalDir, name: str, ino: int
+    ) -> None:
         # First block with room; holes left by deletes are reused.
         slot = next(
             (i for i, f in enumerate(d.fill) if f < self.dentries_per_block), None
@@ -273,7 +299,6 @@ class NormalLayout(DirectoryLayout):
         d.entries[name] = ino
         d.entry_block[name] = block
         plan.dirties.append(block)
-        return plan
 
     def _add_dentry_block(self, d: NormalDir) -> list[int]:
         hint = d.group

@@ -19,9 +19,11 @@ the whole :mod:`repro.obs` layer stays dependency-free.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import add, itemgetter
 
 
 def bucket_of(value: float) -> int:
@@ -34,15 +36,28 @@ def bucket_of(value: float) -> int:
     return math.frexp(value)[1]
 
 
+#: Exponent half of a ``math.frexp`` pair.
+_exponent = itemgetter(1)
+
+
 def bucket_mid(exponent: int) -> float:
     """Representative value of a bucket: the midpoint of [2**(e-1), 2**e)."""
     return 0.75 * 2.0**exponent
 
 
 class Histogram:
-    """Mutable log2 histogram of non-negative samples."""
+    """Mutable log2 histogram of non-negative samples.
 
-    __slots__ = ("_buckets", "_zeros", "_count", "_sum", "_min", "_max")
+    Hot paths that take one sample per operation may leave samples in a
+    pending list (:meth:`pending_append`).  They are folded into the
+    buckets, extrema and running total in arrival order, by the same
+    sequential arithmetic :meth:`observe` applies, so the folded state is
+    bit-for-bit that of observing each sample as it arrived.  Every query
+    folds first, as do :meth:`observe`, :meth:`observe_array`,
+    :meth:`absorb` and :meth:`reset`.
+    """
+
+    __slots__ = ("_buckets", "_zeros", "_count", "_sum", "_min", "_max", "_pending")
 
     def __init__(self) -> None:
         self._buckets: dict[int, int] = {}
@@ -51,12 +66,15 @@ class Histogram:
         self._sum = 0.0
         self._min: float | None = None
         self._max: float | None = None
+        self._pending: list[float] = []
 
     # -- recording ---------------------------------------------------------
     def observe(self, value: float) -> None:
         """Record one sample (must be >= 0)."""
         if value < 0:
             raise ValueError(f"histogram values must be non-negative: {value}")
+        if self._pending:
+            self.fold()
         self._count += 1
         self._sum += value
         if self._min is None or value < self._min:
@@ -69,6 +87,25 @@ class Histogram:
         e = math.frexp(value)[1]
         self._buckets[e] = self._buckets.get(e, 0) + 1
 
+    def pending_append(self) -> Callable[[float], None]:
+        """The pending list's bound ``append``: records one sample for the
+        price of a list append, for hot paths that take one sample per
+        operation.  The caller guarantees samples are >= 0 (a negative one
+        raises at the next fold) and calls :meth:`fold` often enough to
+        bound the list.
+        """
+        return self._pending.append
+
+    def fold(self) -> None:
+        """Fold the pending samples into the histogram, in arrival order."""
+        pending = self._pending
+        if not pending:
+            return
+        try:
+            self._add(pending, reduce(add, pending, self._sum))
+        finally:
+            pending.clear()
+
     def observe_array(self, values) -> None:
         """Record a whole numpy array of samples at once.
 
@@ -77,26 +114,37 @@ class Histogram:
         (numpy's pairwise sum vs a sequential fold), and the percentile
         queries never read it.
         """
-        n = int(values.shape[0])
-        if n == 0:
+        if values.shape[0] == 0:
             return
-        mn = values.min().item()
-        if mn < 0:
-            raise ValueError(f"histogram values must be non-negative: {mn}")
-        mx = values.max().item()
-        self._count += n
-        self._sum += float(values.sum())
-        if self._min is None or mn < self._min:
-            self._min = mn
-        if self._max is None or mx > self._max:
-            self._max = mx
-        nonzero = values[values != 0]
-        self._zeros += n - int(nonzero.shape[0])
-        if nonzero.shape[0]:
-            exps, counts = np.unique(np.frexp(nonzero)[1], return_counts=True)
-            buckets = self._buckets
-            for e, c in zip(exps.tolist(), counts.tolist()):
-                buckets[e] = buckets.get(e, 0) + c
+        if self._pending:
+            self.fold()
+        self._add(values.tolist(), self._sum + float(values.sum()))
+
+    def _add(self, samples: list, total: float) -> None:
+        """Fold a non-empty sample list into the histogram; ``total`` is
+        the running sum with the samples added.  Extrema keep the earliest
+        of equal values and new buckets appear in first-seen order, as
+        per-sample :meth:`observe` calls would leave them."""
+        lo = min(samples)
+        if lo < 0:
+            raise ValueError(f"histogram values must be non-negative: {lo}")
+        hi = max(samples)
+        self._count += len(samples)
+        self._sum = total
+        if self._min is None or lo < self._min:
+            self._min = lo
+        if self._max is None or hi > self._max:
+            self._max = hi
+        zeros = samples.count(0)
+        self._zeros += zeros
+        buckets = self._buckets
+        for e, c in Counter(map(_exponent, map(math.frexp, samples))).items():
+            if e == 0 and zeros:
+                # frexp(0.0) is (0.0, 0): zeros are not bucket-0 samples.
+                c -= zeros
+                if not c:
+                    continue
+            buckets[e] = buckets.get(e, 0) + c
 
     def absorb(self, snap: "HistogramSnapshot") -> None:
         """Fold a full-history snapshot into this histogram.
@@ -111,6 +159,8 @@ class Histogram:
         """
         if snap.count == 0:
             return
+        if self._pending:
+            self.fold()
         self._count += snap.count
         self._sum += snap.total
         self._zeros += snap.zeros
@@ -124,14 +174,16 @@ class Histogram:
     # -- queries -----------------------------------------------------------
     @property
     def count(self) -> int:
-        return self._count
+        return self._count + len(self._pending)
 
     @property
     def total(self) -> float:
+        self.fold()
         return self._sum
 
     def snapshot(self) -> "HistogramSnapshot":
         """Immutable copy for later diffing."""
+        self.fold()
         return HistogramSnapshot(
             count=self._count,
             total=self._sum,
@@ -142,6 +194,9 @@ class Histogram:
         )
 
     def reset(self) -> None:
+        """Forget every sample, pending ones included; the object (and any
+        :meth:`pending_append` handle on it) stays live."""
+        self._pending.clear()
         self._buckets.clear()
         self._zeros = 0
         self._count = 0
@@ -150,7 +205,7 @@ class Histogram:
         self._max = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram(count={self._count}, sum={self._sum:.6g})"
+        return f"Histogram(count={self.count}, sum={self.total:.6g})"
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,12 @@ class Metrics:
         """Add ``amount`` to float accumulator ``name``."""
         self._accumulators[name] = self._accumulators.get(name, 0.0) + amount
 
+    def raw_accumulators(self) -> dict[str, float]:
+        """The live accumulator mapping, for hot paths (the
+        :meth:`raw_counters` contract: valid across :meth:`reset`, which
+        clears it in place).  Update it as :meth:`add` does."""
+        return self._accumulators
+
     def total(self, name: str) -> float:
         """Current value of accumulator ``name`` (zero if never touched)."""
         return self._accumulators.get(name, 0.0)
@@ -73,9 +79,8 @@ class Metrics:
     def histogram_ref(self, name: str) -> Histogram:
         """The live (get-or-create) histogram ``name``, for hot paths that
         record one sample per operation and cannot afford the per-call name
-        lookup.  Unlike :meth:`raw_counters`, the reference goes stale after
-        :meth:`reset` (which drops histogram objects); nothing in the
-        simulator resets metrics mid-run.
+        lookup.  Like :meth:`raw_counters`, the reference stays valid
+        across :meth:`reset`, which empties the histogram in place.
         """
         h = self._histograms.get(name)
         if h is None:
@@ -88,7 +93,8 @@ class Metrics:
         return h.snapshot() if h is not None else _EMPTY_HISTOGRAM
 
     def histogram_names(self) -> list[str]:
-        return sorted(self._histograms)
+        """Sorted names of the histograms holding samples."""
+        return sorted(k for k, h in self._histograms.items() if h.count)
 
     # -- snapshots --------------------------------------------------------
     def snapshot(self) -> "MetricsSnapshot":
@@ -140,7 +146,8 @@ class Metrics:
         """Zero every counter, accumulator and histogram."""
         self._counters.clear()
         self._accumulators.clear()
-        self._histograms.clear()
+        for h in self._histograms.values():
+            h.reset()
 
     def as_dict(self) -> dict[str, float]:
         """Flatten to a plain dict (counters first, accumulators second)."""

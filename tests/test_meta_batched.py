@@ -40,6 +40,8 @@ def snapshot(mds: MetadataServer) -> dict:
     pairwise-summation drift against the scalar fold (see
     ``SimulatedDisk._service_vectorized``); they are rounded, everything
     else — including elapsed time and busy time — compares bit for bit.
+    ``mds.op_latency_s`` is folded sequentially on both paths, so its
+    exact total and extrema are compared too.
     """
     mds.cache._flush_moves()
     m = mds.metrics
@@ -47,6 +49,10 @@ def snapshot(mds: MetadataServer) -> dict:
     for name in m.histogram_names():
         h = m.histogram(name)
         hists[name] = (h.count, h.percentile(50), h.percentile(90), h.percentile(99))
+    op_latency = m.histogram("mds.op_latency_s")
+    hists["mds.op_latency_s.exact"] = (
+        op_latency.total, op_latency.minimum, op_latency.maximum
+    )
     metrics = {
         k: round(v, 12) if k in ("disk.positioning_s", "disk.transfer_s") else v
         for k, v in m.as_dict().items()

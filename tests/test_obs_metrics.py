@@ -169,6 +169,24 @@ class TestMetricsHistograms:
         assert m.histogram("lat").count == 0
         assert m.histogram_names() == []
 
+    def test_held_refs_stay_live_across_reset(self):
+        """Regression: reset() used to drop the histogram objects that hot
+        paths hold through histogram_ref, so samples observed through a held
+        ref (or its pending appender) after a reset silently vanished."""
+        m = Metrics()
+        ref = m.histogram_ref("lat")
+        append = ref.pending_append()
+        ref.observe(1.0)
+        append(2.0)
+        m.reset()
+        assert m.histogram("lat").count == 0
+        ref.observe(4.0)
+        append(8.0)
+        snap = m.histogram("lat")
+        assert (snap.count, snap.total) == (2, 12.0)
+        assert (snap.minimum, snap.maximum) == (4.0, 8.0)
+        assert m.histogram_names() == ["lat"]
+
     def test_as_dict_excludes_histograms(self):
         # Backward compatible: as_dict stays counters + accumulators only.
         m = Metrics()
