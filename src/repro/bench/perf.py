@@ -1,256 +1,36 @@
-"""Wall-clock comparison of the fig7 sweep's execution strategies.
+"""Wall-clock harnesses for the comparisons that change *how* a result is
+produced (``python -m repro perf --cache`` / ``--fsck``).
 
-The simulator's results are a pure function of (runner, scale, seed); the
-batched I/O pipeline, the vectorized disk model and the parallel sweep
-driver only change how fast that function evaluates.  :func:`measure` runs
-the Fig. 7 macro-benchmark sweep three ways and proves the equivalence on
-every run:
+- :func:`measure_cache` times the fig_cache sweep under each cache
+  profile.  The two runs are different simulations (the profile changes
+  the result), so the report carries the simulated-time speedup and
+  hit-rate delta per scenario and an acceptance verdict.
+- :func:`measure_fsck` times the consistency checker serially and with
+  ``jobs`` workers on the same seeded crashed image; the report's
+  byte-identity verdict is the gate, the speedups are informational.
 
-- **legacy** — per-segment data path, scalar disk model, serial sweep
-  (the pre-optimization execution strategy, kept behind
-  ``FSConfig.execution="legacy"``);
-- **batched** — request batching + vectorized service-time model, serial;
-- **parallel** — batched, with sweep cells fanned out over ``jobs``
-  worker processes (:mod:`repro.core.parallel`).
-
-All three rendered benchmark documents (the same rendering the BENCH
-regression gate uses) must be byte-identical; :class:`PerfReport` records
-the wall-clock of each mode and whether the equivalence held.  On a
-single-core host the parallel mode pays process start-up for no gain —
-the speedup then comes entirely from batching and vectorization.
+Host-time regressions of the simulator as a whole are tracked by the
+perfbench harness (``perfbench/``), not here.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
-from repro.bench.baseline import dumps, render
+from repro.bench.baseline import dumps
 from repro.core.parallel import resolve_jobs
 from repro.core.run import run
-
-#: The runner whose sweep is timed; fig7 exercises the whole data path
-#: (allocation, scheduling, disk model) across 8 independent cells.
-PERF_RUNNER = "fig7"
-
-#: The runner timed by the metadata mode; fig8's metarates sweep exercises
-#: the whole metadata path (layouts, cache, journal, checkpoints).
-META_PERF_RUNNER = "fig8"
-
-
-@dataclass(frozen=True)
-class PerfReport:
-    """Timings (host seconds) for one three-way measurement."""
-
-    runner: str
-    scale: float
-    seed: int
-    jobs: int
-    legacy_s: float
-    batched_s: float
-    parallel_s: float
-    #: True when all three modes rendered byte-identical documents.
-    identical: bool
-    fingerprint: str
-
-    @property
-    def batched_speedup(self) -> float:
-        """legacy / batched wall-clock ratio (> 1 means batched is faster)."""
-        return self.legacy_s / self.batched_s if self.batched_s > 0 else 0.0
-
-    @property
-    def parallel_speedup(self) -> float:
-        """legacy / parallel wall-clock ratio (> 1 means parallel is faster)."""
-        return self.legacy_s / self.parallel_s if self.parallel_s > 0 else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "runner": self.runner,
-            "scale": self.scale,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "legacy_s": self.legacy_s,
-            "batched_s": self.batched_s,
-            "parallel_s": self.parallel_s,
-            "batched_speedup": self.batched_speedup,
-            "parallel_speedup": self.parallel_speedup,
-            "identical": self.identical,
-            "fingerprint": self.fingerprint,
-        }
-
-
-def _timed(runner: str = PERF_RUNNER, **kwargs: Any) -> tuple[float, str, str]:
-    """Run ``runner`` once; (wall seconds, rendered doc, fingerprint)."""
-    scale, seed = kwargs["scale"], kwargs["seed"]
-    t0 = time.perf_counter()
-    result = run(runner, **kwargs)
-    elapsed = time.perf_counter() - t0
-    return elapsed, dumps(render(result, scale=scale, seed=seed)), result.fingerprint
-
-
-def measure(
-    *, scale: float = 1.0, seed: int = 0, jobs: int | None = None
-) -> PerfReport:
-    """Time the fig7 sweep under all three execution strategies.
-
-    Raises nothing on divergence — the report's ``identical`` flag carries
-    the verdict so callers (the CLI, CI's perf-smoke job) decide severity.
-    """
-    n = resolve_jobs(jobs)
-    legacy_s, legacy_doc, fp = _timed(scale=scale, seed=seed, execution="legacy")
-    batched_s, batched_doc, _ = _timed(scale=scale, seed=seed)
-    parallel_s, parallel_doc, _ = _timed(scale=scale, seed=seed, jobs=n)
-    return PerfReport(
-        runner=PERF_RUNNER,
-        scale=scale,
-        seed=seed,
-        jobs=n,
-        legacy_s=legacy_s,
-        batched_s=batched_s,
-        parallel_s=parallel_s,
-        identical=legacy_doc == batched_doc == parallel_doc,
-        fingerprint=fp,
-    )
-
-
-@dataclass(frozen=True)
-class MetaPerfReport:
-    """Timings (host seconds) for one metadata-mode measurement.
-
-    Two benchmarks: the fig8 metarates sweep (legacy / batched / parallel,
-    same three-way shape as :func:`measure`) and a direct mdtest tree run
-    (legacy / batched).  ``identical`` covers both — the fig8 documents
-    must be byte-identical across all three modes and the mdtest results
-    byte-identical across both.
-    """
-
-    runner: str
-    scale: float
-    seed: int
-    jobs: int
-    legacy_s: float
-    batched_s: float
-    parallel_s: float
-    mdtest_legacy_s: float
-    mdtest_batched_s: float
-    identical: bool
-    fingerprint: str
-
-    @property
-    def batched_speedup(self) -> float:
-        """legacy / batched wall-clock ratio (> 1 means batched is faster)."""
-        return self.legacy_s / self.batched_s if self.batched_s > 0 else 0.0
-
-    @property
-    def parallel_speedup(self) -> float:
-        """legacy / parallel wall-clock ratio (> 1 means parallel is faster)."""
-        return self.legacy_s / self.parallel_s if self.parallel_s > 0 else 0.0
-
-    @property
-    def mdtest_speedup(self) -> float:
-        """mdtest legacy / batched wall-clock ratio."""
-        if self.mdtest_batched_s <= 0:
-            return 0.0
-        return self.mdtest_legacy_s / self.mdtest_batched_s
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "runner": self.runner,
-            "scale": self.scale,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "legacy_s": self.legacy_s,
-            "batched_s": self.batched_s,
-            "parallel_s": self.parallel_s,
-            "batched_speedup": self.batched_speedup,
-            "parallel_speedup": self.parallel_speedup,
-            "mdtest_legacy_s": self.mdtest_legacy_s,
-            "mdtest_batched_s": self.mdtest_batched_s,
-            "mdtest_speedup": self.mdtest_speedup,
-            "identical": self.identical,
-            "fingerprint": self.fingerprint,
-        }
-
-
-def _mdtest_timed(*, scale: float, legacy: bool) -> tuple[float, str]:
-    """One mdtest tree run; (wall seconds, canonical result document)."""
-    from repro.fs.profiles import redbud_mif_profile
-    from repro.meta.mds import MetadataServer
-    from repro.workloads.mdtest import MdtestConfig, MdtestWorkload
-
-    cfg = redbud_mif_profile()
-    if legacy:
-        cfg = replace(cfg, execution="legacy")
-    mdt = MdtestConfig(
-        depth=2, branch=3, items_per_dir=max(2, int(16 * scale)), ntasks=4
-    )
-    t0 = time.perf_counter()
-    mds = MetadataServer(cfg)
-    result = MdtestWorkload(mdt).run(mds)
-    elapsed = time.perf_counter() - t0
-    doc = dumps(
-        {
-            "dir_create": repr(result.dir_create),
-            "file_create": repr(result.file_create),
-            "file_stat": repr(result.file_stat),
-            "file_remove": repr(result.file_remove),
-            "total_ops": result.total_ops,
-            "elapsed_s": repr(mds.elapsed_s),
-            "counters": {
-                k: v for k, v in sorted(mds.metrics.raw_counters().items())
-            },
-        }
-    )
-    return elapsed, doc
-
-
-def measure_meta(
-    *, scale: float = 1.0, seed: int = 0, jobs: int | None = None
-) -> MetaPerfReport:
-    """Time the metadata benchmark suite under both execution strategies.
-
-    The fig8 metarates sweep runs legacy (``execution="legacy"``: scalar
-    plan execution, scalar disks), batched serial and batched parallel;
-    the mdtest tree runs legacy and batched.  As with :func:`measure`,
-    the report's ``identical`` flag carries the byte-identity verdict.
-    """
-    n = resolve_jobs(jobs)
-    legacy_s, legacy_doc, fp = _timed(
-        META_PERF_RUNNER, scale=scale, seed=seed, execution="legacy"
-    )
-    batched_s, batched_doc, _ = _timed(META_PERF_RUNNER, scale=scale, seed=seed)
-    parallel_s, parallel_doc, _ = _timed(
-        META_PERF_RUNNER, scale=scale, seed=seed, jobs=n
-    )
-    md_legacy_s, md_legacy_doc = _mdtest_timed(scale=scale, legacy=True)
-    md_batched_s, md_batched_doc = _mdtest_timed(scale=scale, legacy=False)
-    return MetaPerfReport(
-        runner=f"{META_PERF_RUNNER}+mdtest",
-        scale=scale,
-        seed=seed,
-        jobs=n,
-        legacy_s=legacy_s,
-        batched_s=batched_s,
-        parallel_s=parallel_s,
-        mdtest_legacy_s=md_legacy_s,
-        mdtest_batched_s=md_batched_s,
-        identical=(
-            legacy_doc == batched_doc == parallel_doc
-            and md_legacy_doc == md_batched_doc
-        ),
-        fingerprint=fp,
-    )
-
 
 #: The runner timed by the cache mode; fig_cache's pressure sweep compares
 #: the legacy flat LRU against the adaptive tiered cache (docs/CACHE.md).
 CACHE_PERF_RUNNER = "fig_cache"
 
 #: Acceptance thresholds for the cache-pressure comparison: the adaptive
-#: profile must win on wall clock (host seconds, >= 1.3x) or on hit rate
-#: (>= 20 percentage points).
+#: profile must win on simulated time (>= 1.3x) or on hit rate (>= 20
+#: percentage points).
 CACHE_MIN_SPEEDUP = 1.3
 CACHE_MIN_HIT_GAIN_POINTS = 20.0
 
@@ -259,11 +39,10 @@ CACHE_MIN_HIT_GAIN_POINTS = 20.0
 class CachePerfReport:
     """Scalar-vs-tiered cache comparison on the cache-pressure sweep.
 
-    Unlike :class:`PerfReport`, the two runs here are *different
-    simulations* (the cache profile changes the result), so there is no
-    byte-identity verdict; instead the report carries the simulated-time
-    speedup and hit-rate delta per scenario and an aggregate ``passed``
-    verdict against the acceptance thresholds.
+    The two runs are *different simulations* (the cache profile changes
+    the result), so there is no byte-identity verdict; instead the report
+    carries the simulated-time speedup and hit-rate delta per scenario and
+    an aggregate ``passed`` verdict against the acceptance thresholds.
     """
 
     runner: str
@@ -526,7 +305,7 @@ def measure_fsck(
 
 
 def save_report(
-    report: PerfReport | MetaPerfReport | CachePerfReport | FsckPerfReport,
+    report: CachePerfReport | FsckPerfReport,
     path: str,
 ) -> None:
     """Write the report as sorted-key JSON (CI timing artifact)."""

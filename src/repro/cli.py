@@ -8,9 +8,8 @@ Runner-backed subcommands are **registry-driven**: each is one declarative
 :class:`RunnerCommand` entry (name, help, default scale, extra options,
 printer) and the parser wires them up in a loop.  Shared options follow
 the runner's actual signature — every entry gets ``--scale``/``--seed``,
-and ``--jobs`` / ``--exec`` appear automatically when the registered
-runner accepts ``jobs`` / ``execution``.  ``--list`` walks the same
-runner registry.
+and ``--jobs`` appears automatically when the registered runner accepts
+``jobs``.  ``--list`` walks the same runner registry.
 """
 
 from __future__ import annotations
@@ -150,8 +149,6 @@ def _runner_command(spec: RunnerCommand):
     def cmd(args: argparse.Namespace) -> int:
         kwargs = dict(spec.run_kwargs)
         kwargs["jobs"] = getattr(args, "jobs", None)
-        if getattr(args, "execution", None):
-            kwargs["execution"] = args.execution
         for opt in spec.options:
             if opt.forward is not None:
                 kwargs[opt.forward] = getattr(args, opt.forward)
@@ -170,13 +167,6 @@ def _register_runner_commands(sub) -> None:
         p.add_argument("--seed", type=int, default=0)
         if "jobs" in params:
             _add_jobs(p)
-        if "execution" in params:
-            p.add_argument(
-                "--exec", dest="execution", choices=("batched", "legacy"),
-                default=None,
-                help="execution profile (wall-clock only; results are "
-                "identical — see docs/PERF.md)",
-            )
         for opt in spec.options:
             p.add_argument(*opt.flags, **opt.kwargs)
         p.set_defaults(func=_runner_command(spec))
@@ -275,26 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="wall-clock the fig7 sweep: legacy vs batched vs parallel "
-        "execution (results must be identical; exit 1 if not)",
+        help="wall-clock harnesses: cache profiles (--cache) or serial vs "
+        "sharded fsck (--fsck)",
     )
     p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     _add_jobs(p)
-    p.add_argument(
-        "--meta", action="store_true",
-        help="measure the metadata path instead: the fig8 metarates sweep "
-        "plus an mdtest tree run, scalar vs batched execution",
-    )
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--cache", action="store_true",
-        help="measure the cache-pressure sweep instead: legacy LRU vs the "
+        help="measure the cache-pressure sweep: legacy LRU vs the "
         "adaptive tiered cache profile, wall clock + hit-rate delta "
         "(exit 1 unless a scenario clears the acceptance thresholds)",
     )
-    p.add_argument(
+    mode.add_argument(
         "--fsck", action="store_true",
-        help="measure the consistency checker instead: serial vs sharded "
+        help="measure the consistency checker: serial vs sharded "
         "check+repair of a corrupted image (exit 1 unless the reports "
         "are byte-identical)",
     )
@@ -664,13 +650,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    from repro.bench.perf import (
-        measure,
-        measure_cache,
-        measure_fsck,
-        measure_meta,
-        save_report,
-    )
+    from repro.bench.perf import measure_cache, measure_fsck, save_report
 
     if args.fsck:
         report = measure_fsck(scale=args.scale, seed=args.seed, jobs=args.jobs)
@@ -701,65 +681,35 @@ def cmd_perf(args) -> int:
             save_report(report, args.out)
             print(f"wrote timing report to {args.out}")
         return 0 if report.identical else 1
-    if args.cache:
-        report = measure_cache(scale=args.scale, seed=args.seed, jobs=args.jobs)
-        table = Table(
-            f"Cache profiles — {report.runner} sweep "
-            f"(scale={report.scale}, jobs={report.jobs})",
-            ["scenario", "legacy sim (s)", "adaptive sim (s)", "sim speedup",
-             "hit rate Δ (pts)", "prefetch acc"],
-        )
-        for s in sorted(report.legacy_elapsed_s):
-            table.add_row([
-                s,
-                f"{report.legacy_elapsed_s[s]:.4f}",
-                f"{report.adaptive_elapsed_s[s]:.4f}",
-                f"{report.sim_speedup(s):.2f}x",
-                f"{report.hit_rate_gain(s):+.1f}",
-                f"{report.prefetch_accuracy[s]:.2f}",
-            ])
-        table.print()
-        print()
-        print(f"wall clock: legacy {report.legacy_wall_s:.2f}s, adaptive "
-              f"{report.adaptive_wall_s:.2f}s ({report.wall_speedup:.2f}x)")
-        if report.passed:
-            print("PASS: adaptive profile clears the acceptance thresholds "
-                  "(>=1.3x sim speedup or >=20-point hit-rate gain per scenario)")
-        else:
-            print("FAIL: adaptive profile below the acceptance thresholds")
-        if args.out:
-            save_report(report, args.out)
-            print(f"wrote timing report to {args.out}")
-        return 0 if report.passed else 1
-    if args.meta:
-        report = measure_meta(scale=args.scale, seed=args.seed, jobs=args.jobs)
-    else:
-        report = measure(scale=args.scale, seed=args.seed, jobs=args.jobs)
+    report = measure_cache(scale=args.scale, seed=args.seed, jobs=args.jobs)
     table = Table(
-        f"Execution strategies — {report.runner} sweep "
+        f"Cache profiles — {report.runner} sweep "
         f"(scale={report.scale}, jobs={report.jobs})",
-        ["mode", "wall-clock (s)", "speedup vs legacy"],
+        ["scenario", "legacy sim (s)", "adaptive sim (s)", "sim speedup",
+         "hit rate Δ (pts)", "prefetch acc"],
     )
-    table.add_row(["legacy (no batching, scalar disks)", f"{report.legacy_s:.2f}", "1.00x"])
-    table.add_row(["batched + vectorized, serial", f"{report.batched_s:.2f}",
-                   f"{report.batched_speedup:.2f}x"])
-    table.add_row([f"batched + vectorized, {report.jobs} workers",
-                   f"{report.parallel_s:.2f}", f"{report.parallel_speedup:.2f}x"])
-    if args.meta:
-        table.add_row(["mdtest, legacy", f"{report.mdtest_legacy_s:.2f}", "1.00x"])
-        table.add_row(["mdtest, batched", f"{report.mdtest_batched_s:.2f}",
-                       f"{report.mdtest_speedup:.2f}x"])
+    for s in sorted(report.legacy_elapsed_s):
+        table.add_row([
+            s,
+            f"{report.legacy_elapsed_s[s]:.4f}",
+            f"{report.adaptive_elapsed_s[s]:.4f}",
+            f"{report.sim_speedup(s):.2f}x",
+            f"{report.hit_rate_gain(s):+.1f}",
+            f"{report.prefetch_accuracy[s]:.2f}",
+        ])
     table.print()
     print()
-    if report.identical:
-        print(f"all three modes rendered identical documents "
-              f"(fingerprint {report.fingerprint})")
+    print(f"wall clock: legacy {report.legacy_wall_s:.2f}s, adaptive "
+          f"{report.adaptive_wall_s:.2f}s ({report.wall_speedup:.2f}x)")
+    if report.passed:
+        print("PASS: adaptive profile clears the acceptance thresholds "
+              "(>=1.3x sim speedup or >=20-point hit-rate gain per scenario)")
     else:
-        print("MISMATCH: execution modes rendered different documents")
+        print("FAIL: adaptive profile below the acceptance thresholds")
     if args.out:
         save_report(report, args.out)
         print(f"wrote timing report to {args.out}")
-    return 0 if report.identical else 1
+    return 0 if report.passed else 1
 
 
 def cmd_microbench(args) -> int:
@@ -1255,8 +1205,7 @@ RUNNER_COMMANDS: tuple[RunnerCommand, ...] = (
                 "or no value for the defaults; a fail verdict exits 1")),
             CliOption(("--sample",), "sample", dict(
                 default=None, metavar="1/N",
-                help="trace every Nth stream end-to-end (sampled tracing "
-                "keeps the vectorized fast path engaged)")),
+                help="trace every Nth stream end-to-end")),
             CliOption(("--cache-profile",), "cache_profile", dict(
                 choices=["legacy", "adaptive"], default="legacy",
                 help="MDS buffer-cache profile: legacy flat LRU or the "

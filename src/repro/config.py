@@ -9,7 +9,6 @@ window ramp) and ordinary Linux defaults elsewhere.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -332,23 +331,6 @@ class FSConfig:
     #: CPU time the MDS spends per extent handled (merging/indexing); the
     #: source of Table I's CPU-utilization column.
     mds_cpu_s_per_extent: float = 0.00002
-    #: Execution profile for both the data and metadata paths:
-    #:
-    #: - ``"batched"`` (default) — group dlocal-contiguous same-PAG segments
-    #:   into one policy call, coalesce physically adjacent requests before
-    #:   submission (PVFS list-I/O style), use the numpy batch service-time
-    #:   model inside each disk, and execute metadata access plans through
-    #:   ``BufferCache.read_batch`` / ``SimulatedDisk.submit_one`` / the
-    #:   array submit path.
-    #: - ``"legacy"`` — the per-segment, per-request, per-read scalar paths
-    #:   (same results, slower); kept for the perf runner's baseline
-    #:   comparison.
-    #:
-    #: The old per-path booleans (``io_batching``, ``vectorized_disks``,
-    #: ``meta_batching``) are accepted as deprecated constructor aliases:
-    #: any ``False`` selects ``"legacy"``, all-``True`` selects
-    #: ``"batched"``.
-    execution: str = "batched"
 
     def __post_init__(self) -> None:
         if self.ndisks <= 0:
@@ -359,30 +341,6 @@ class FSConfig:
             raise ConfigError(f"pags_per_disk must be positive: {self.pags_per_disk}")
         if self.mds_request_overhead_s < 0 or self.mds_cpu_s_per_extent < 0:
             raise ConfigError("MDS cost parameters must be >= 0")
-        if self.execution not in ("batched", "legacy"):
-            raise ConfigError(f"unknown execution profile: {self.execution!r}")
-
-    # -- deprecated execution profile views (see ``execution``) ----------------
-    # Reading these warns: internal hot paths read ``execution`` directly,
-    # so a DeprecationWarning here can only come from external callers that
-    # should migrate to the profile string.
-    @property
-    def io_batching(self) -> bool:
-        """Deprecated view of ``execution == "batched"`` (data path)."""
-        _warn_execution_view("io_batching")
-        return self.execution == "batched"
-
-    @property
-    def vectorized_disks(self) -> bool:
-        """Deprecated view of ``execution == "batched"`` (disk model)."""
-        _warn_execution_view("vectorized_disks")
-        return self.execution == "batched"
-
-    @property
-    def meta_batching(self) -> bool:
-        """Deprecated view of ``execution == "batched"`` (metadata path)."""
-        _warn_execution_view("meta_batching")
-        return self.execution == "batched"
 
     def with_policy(self, policy: str, **overrides: object) -> "FSConfig":
         """Copy of this config with a different allocation policy."""
@@ -398,40 +356,3 @@ class FSConfig:
         :class:`CacheParams` overrides); see docs/CACHE.md."""
         cache = replace(self.cache, profile=profile, **overrides)  # type: ignore[arg-type]
         return replace(self, cache=cache, name=f"{self.name}:{profile}-cache")
-
-
-def _warn_execution_view(name: str) -> None:
-    warnings.warn(
-        f"FSConfig.{name} is deprecated; compare FSConfig.execution against "
-        "'batched' or 'legacy' instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-# Deprecated constructor aliases: the per-path batching booleans collapsed
-# into the single ``execution`` profile.  Accepting them here (rather than as
-# fields) keeps ``FSConfig(io_batching=False)`` and
-# ``dataclasses.replace(cfg, meta_batching=False)`` working for one release —
-# ``replace`` routes unknown keys through ``__init__``, so both spellings land
-# in this wrapper.
-_LEGACY_EXECUTION_FLAGS = ("io_batching", "vectorized_disks", "meta_batching")
-_fsconfig_dataclass_init = FSConfig.__init__
-
-
-def _fsconfig_init(self, *args, **kwargs) -> None:
-    legacy = {k: kwargs.pop(k) for k in _LEGACY_EXECUTION_FLAGS if k in kwargs}
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        warnings.warn(
-            f"FSConfig({names}=...) is deprecated; use "
-            "execution='batched' or execution='legacy' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["execution"] = "batched" if all(legacy.values()) else "legacy"
-    _fsconfig_dataclass_init(self, *args, **kwargs)
-
-
-_fsconfig_init.__wrapped__ = _fsconfig_dataclass_init  # type: ignore[attr-defined]
-FSConfig.__init__ = _fsconfig_init  # type: ignore[method-assign]

@@ -80,20 +80,6 @@ def _scaled(value: int, scale: float, floor: int = 1) -> int:
     return max(floor, int(value * scale))
 
 
-def _resolve_execution(execution: str, legacy_io: bool | None) -> str:
-    """Fold the deprecated ``legacy_io`` runner kwarg into ``execution``."""
-    if legacy_io is None:
-        return execution
-    import warnings
-
-    warnings.warn(
-        "legacy_io= is deprecated; pass execution='legacy' (or 'batched') instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return "legacy" if legacy_io else "batched"
-
-
 class _Context:
     """Metrics bag + tracer + phase/capture helpers.
 
@@ -350,20 +336,12 @@ class Fig7Result:
 
 
 def _fig7_cell(spec, tracer=None) -> CellResult:
-    """One (collective, policy, app) macro-benchmark run of Fig. 7.
-
-    A trailing spec element carries the execution profile;
-    ``execution="legacy"`` selects the scalar paths (no request batching,
-    scalar disk model) — same results, used only by the perf harness as
-    its wall-clock baseline.
-    """
-    scale, seed, ndisks, collective, policy, app, *rest = spec
+    """One (collective, policy, app) macro-benchmark run of Fig. 7."""
+    scale, seed, ndisks, collective, policy, app = spec
     del seed  # the macro benchmarks are deterministic; kept in the spec shape
     cell = _Cell(tracer)
     tag = f"{policy}:{'coll' if collective else 'indep'}"
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=ndisks), policy)
-    if rest and rest[0]:
-        cfg = replace(cfg, execution=rest[0])
     plane = cell.plane(cfg)
     snap = cell.metrics.snapshot()
     if app == "IOR":
@@ -408,24 +386,20 @@ def macro_benchmarks(
     collectives: tuple[bool, ...] = (False, True),
     ndisks: int = 8,
     jobs: int | None = None,
-    execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """Fig. 7: IOR2 and BTIO under reservation vs on-demand, with and
     without collective I/O (paper: 16 nodes × 4 cores, 8 disks).
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    ``jobs`` changes only execution strategy, never the result, so it
+    does not participate in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig7", trace, scale=scale, seed=seed, policies=policies,
         collectives=collectives, ndisks=ndisks,
     )
     payload = Fig7Result()
     specs = [
-        (scale, seed, ndisks, collective, policy, app, execution)
+        (scale, seed, ndisks, collective, policy, app)
         for collective in collectives
         for policy in policies
         for app in ("IOR", "BTIO")
@@ -538,16 +512,8 @@ class Fig8Result:
 
 
 def _fig8_profile_cell(spec, tracer=None) -> CellResult:
-    """All four metarates workloads against one profile's MDS.
-
-    A trailing spec element carries the execution profile;
-    ``execution="legacy"`` selects the scalar metadata path (scalar plan
-    execution, scalar disk model) — same results, used only by the perf
-    harness as its wall-clock baseline.
-    """
-    scale, cfg, *rest = spec
-    if rest and rest[0]:
-        cfg = replace(cfg, execution=rest[0])
+    """All four metarates workloads against one profile's MDS."""
+    scale, cfg = spec
     cell = _Cell(tracer)
     files_per_dir = _scaled(5000, scale, floor=200)
     wl = MetaratesWorkload(nclients=10, files_per_dir=files_per_dir)
@@ -572,12 +538,10 @@ def _fig8_profile_cell(spec, tracer=None) -> CellResult:
 
 def _fig8_dirsize_cell(spec, tracer=None) -> CellResult:
     """readdir-stat disk-request proportion for one directory size."""
-    size, *rest = spec
+    size = spec
     cell = _Cell(tracer)
     counts: dict[str, int] = {}
     for cfg in (redbud_vanilla_profile(), redbud_mif_profile()):
-        if rest and rest[0]:
-            cfg = replace(cfg, execution=rest[0])
         mds = cell.mds(cfg)
         wl = MetaratesWorkload(nclients=2, files_per_dir=size)
         dirs = wl.setup_dirs(mds)
@@ -599,17 +563,13 @@ def metarates_suite(
     profiles: tuple[FSConfig, ...] | None = None,
     dir_sizes: tuple[int, ...] = (1000, 5000, 10000),
     jobs: int | None = None,
-    execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """Fig. 8: utime/create (a), delete (b) and readdir-stat (c) throughput
     and disk-access counts, plus the dir-size sweep for readdir-stat.
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    ``jobs`` changes only execution strategy, never the result, so it
+    does not participate in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig8", trace, scale=scale, seed=seed,
         profiles=None if profiles is None else tuple(p.name for p in profiles),
@@ -618,7 +578,7 @@ def metarates_suite(
     if profiles is None:
         profiles = (redbud_vanilla_profile(), lustre_profile(), redbud_mif_profile())
     payload = Fig8Result()
-    profile_specs = [(scale, cfg, execution) for cfg in profiles]
+    profile_specs = [(scale, cfg) for cfg in profiles]
     for cell in run_cells(
         profile_specs, _fig8_profile_cell, jobs=jobs, tracer=run.tracer
     ):
@@ -627,10 +587,9 @@ def metarates_suite(
     # readdir-stat proportion vs directory size (§V.D.1's prefetch effect).
     # Absolute directory sizes on purpose: the effect *is* the size trend,
     # so rescaling it away would leave quantization noise.
-    size_specs = [(size, execution) for size in dir_sizes]
-    for (size, _), cell in zip(
-        size_specs,
-        run_cells(size_specs, _fig8_dirsize_cell, jobs=jobs, tracer=run.tracer),
+    for size, cell in zip(
+        dir_sizes,
+        run_cells(dir_sizes, _fig8_dirsize_cell, jobs=jobs, tracer=run.tracer),
     ):
         run.absorb(cell)
         payload.rdstat_proportion_by_size[size] = cell.payload
@@ -1138,9 +1097,9 @@ class ServiceCell:
     arrivals: int
     active_streams: int
     stations: dict[str, StationReport] = field(default_factory=dict)
-    #: Which disk-array submit path serviced the cell's batches — the
-    #: introspection that proves sampled tracing left the vectorized fast
-    #: path engaged (see :attr:`repro.disk.array.DiskArray.io_profile`).
+    #: Which disk-array kernel serviced the cell's batches — multi-request
+    #: batches take the array kernel, single-request ones the scalar one
+    #: (see :attr:`repro.disk.array.DiskArray.io_profile`).
     io_profile: dict[str, int] = field(default_factory=dict)
     #: Per-window telemetry frames (``--telemetry``); None when disabled.
     telemetry: TimeSeriesSnapshot | None = None
@@ -1207,9 +1166,7 @@ def _station_report(st, duration_s: float, drops_by_kind: dict[str, int]) -> Sta
 
 def _service_cell(spec, tracer=None) -> CellResult:
     """One open-loop operating point: build, arrive, drain, report."""
-    svc, cfg, execution, telemetry_window, objectives, scrub = spec
-    if execution:
-        cfg = replace(cfg, execution=execution)
+    svc, cfg, telemetry_window, objectives, scrub = spec
     cell = _Cell(tracer)
     plane = cell.plane(cfg)
     mds = cell.mds(cfg)
@@ -1414,8 +1371,6 @@ def service_mode(
     request_bytes: int = 64 * KiB,
     config: FSConfig | None = None,
     jobs: int | None = None,
-    execution: str = "batched",
-    legacy_io: bool | None = None,
     telemetry: bool | float = False,
     slo: bool | str | SLObjective | tuple[str | SLObjective, ...] | None = None,
     sample: int | str | None = None,
@@ -1447,7 +1402,7 @@ def service_mode(
       or a tuple).  Implies telemetry.
     - ``sample`` — sampled per-op tracing: ``"1/N"`` (or N) traces every
       N-th stream end-to-end via a :class:`~repro.obs.trace.
-      SamplingTracer` without disengaging the vectorized fast paths.
+      SamplingTracer`.
       Ignored when an explicit ``trace=`` tracer is passed.
 
     ``cache_profile`` selects the MDS buffer-cache profile ("legacy" or
@@ -1470,7 +1425,6 @@ def service_mode(
     Scrubbing repairs live state, so it enters the fingerprint when
     enabled; the default stays fingerprint-identical.
     """
-    execution = _resolve_execution(execution, legacy_io)
     rate_points = tuple(resolve_rate(r) for r in (rates if rates is not None else (rate,)))
     duration_s = resolve_duration(duration) * scale
     cfg = config if config is not None else redbud_mif_profile()
@@ -1525,7 +1479,6 @@ def service_mode(
                 seed=seed,
             ),
             cfg,
-            execution,
             telemetry_window,
             objectives,
             scrub_spec,
@@ -1591,14 +1544,10 @@ def _fig_listio_cell(spec, tracer=None) -> CellResult:
     the same closed-loop runner; only the request grammar differs — one
     Write/ReadOp per region versus one Writev/ReadvOp per region list.
     """
-    scale, seed, ndisks, pattern, mode, execution = spec
+    scale, seed, ndisks, pattern, mode = spec
     cell = _Cell(tracer)
     cfg = redbud_mif_profile(ndisks=ndisks)
-    cfg = replace(
-        cfg,
-        execution=execution,
-        disk=replace(cfg.disk, request_header_s=LISTIO_HEADER_S),
-    )
+    cfg = replace(cfg, disk=replace(cfg.disk, request_header_s=LISTIO_HEADER_S))
     plane = cell.plane(cfg)
     snap = cell.metrics.snapshot()
     if pattern == "strided":
@@ -1646,24 +1595,20 @@ def listio_benchmarks(
     modes: tuple[str, ...] = ("scalar", "listio"),
     ndisks: int = 5,
     jobs: int | None = None,
-    execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """List I/O: ROMIO-style strided and tile access, scalar loop vs one
     scatter-gather request per region list (readv/writev; docs/LISTIO.md).
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    ``jobs`` changes only execution strategy, never the result, so it
+    does not participate in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig_listio", trace, scale=scale, seed=seed, patterns=patterns,
         modes=modes, ndisks=ndisks,
     )
     payload = ListIOResult()
     specs = [
-        (scale, seed, ndisks, pattern, mode, execution)
+        (scale, seed, ndisks, pattern, mode)
         for pattern in patterns
         for mode in modes
     ]
@@ -1761,13 +1706,12 @@ def _fig_cache_cell(spec, tracer=None) -> CellResult:
     BufferCache directly with interleaved sequential readers, isolating
     readahead-context behaviour from the metadata path.
     """
-    scale, seed, scenario, profile, execution = spec
+    scale, seed, scenario, profile = spec
     cell = _Cell(tracer)
     if scenario == "pressure":
         cfg = redbud_mif_profile().with_cache_profile(
             profile, capacity_blocks=CACHE_PRESSURE_CAPACITY
         )
-        cfg = replace(cfg, execution=execution)
         wl = CachePressureWorkload(rounds=_scaled(10, scale, floor=2))
         mds = cell.mds(cfg)
         hot, cold = wl.setup(mds)
@@ -1779,7 +1723,7 @@ def _fig_cache_cell(spec, tracer=None) -> CellResult:
         cfg = redbud_mif_profile().with_cache_profile(profile)
         disk = SimulatedDisk(
             cfg.mds_disk, cfg.scheduler, cell.metrics, name="mds",
-            tracer=cell.tracer, vectorized=execution == "batched",
+            tracer=cell.tracer,
         )
         cache = BufferCache(cfg.cache, disk, cell.metrics, cell.tracer)
         cell.tracer.bind_clock(lambda: disk.busy_s, override=True)
@@ -1801,26 +1745,22 @@ def cache_pressure_suite(
     profiles: tuple[str, ...] = ("legacy", "adaptive"),
     scenarios: tuple[str, ...] = ("pressure", "streams"),
     jobs: int | None = None,
-    execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """Cache-pressure sweep: the adaptive tiered cache (per-stream
     readahead + SLRU tiers + embedded-directory prefetch, docs/CACHE.md)
     against the legacy flat LRU, on a scan-pressure metadata mix and an
     interleaved-sequential-streams microbenchmark.
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    ``jobs`` changes only execution strategy, never the result, so it
+    does not participate in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig_cache", trace, scale=scale, seed=seed,
         profiles=tuple(profiles), scenarios=tuple(scenarios),
     )
     payload = FigCacheResult()
     specs = [
-        (scale, seed, scenario, profile, execution)
+        (scale, seed, scenario, profile)
         for scenario in scenarios
         for profile in profiles
     ]

@@ -34,7 +34,6 @@ class DiskArray:
         scheduler_params: SchedulerParams | None = None,
         metrics: Metrics | None = None,
         tracer: Tracer | NullTracer | None = None,
-        vectorized: bool = True,
     ) -> None:
         if ndisks <= 0:
             raise SimulationError(f"ndisks must be positive: {ndisks}")
@@ -48,24 +47,16 @@ class DiskArray:
                 self.metrics,
                 name=f"disk{d}",
                 tracer=self.tracer,
-                vectorized=vectorized,
             )
             for d in range(ndisks)
         ]
         self.blocks_per_disk = disk_params.capacity_blocks
-        # The array-path submit needs the vectorized disk model plus a
-        # scheduler that can arrange parallel arrays; both are fixed at
-        # construction.  Tracing and fault injection are re-checked per
-        # batch (they can toggle mid-run).
-        self._arrays_capable = vectorized and hasattr(
-            self.disks[0].scheduler, "arrange_arrays"
-        )
-        # Execution-profile introspection: which submit path serviced each
-        # batch.  Kept off the Metrics bag on purpose — the scalar and
-        # vectorized paths must report *identical* metrics (the perf
-        # harness pins that), while these counters exist to tell the
-        # paths apart (e.g. to assert sampled tracing left the fast path
-        # engaged).
+        #: Which submit path serviced each batch: the array path for
+        #: multi-request batches, the per-disk object path for
+        #: single-request batches and for any batch while a fault injector
+        #: is attached.  Kept off the Metrics bag on purpose — both paths
+        #: report *identical* metrics, while these counters exist to tell
+        #: them apart.
         self.io_profile: dict[str, int] = {
             "batches_vectorized": 0,
             "batches_scalar": 0,
@@ -95,12 +86,7 @@ class DiskArray:
         """
         if not requests:
             return 0.0
-        if (
-            len(requests) > 1
-            and self._arrays_capable
-            and not self.tracer.enabled
-            and all(d.injector is None for d in self.disks)
-        ):
+        if len(requests) > 1 and all(d.injector is None for d in self.disks):
             self.io_profile["batches_vectorized"] += 1
             return self._submit_arrays(requests)
         self.io_profile["batches_scalar"] += 1
@@ -119,7 +105,7 @@ class DiskArray:
         )
 
     def _submit_arrays(self, requests: Sequence[BlockRequest]) -> float:
-        """Array path of :meth:`submit_batch` for the batched I/O pipeline.
+        """Array path of :meth:`submit_batch`.
 
         The batch is converted once into parallel numpy arrays, split per
         disk with integer arithmetic, and handed to each disk's

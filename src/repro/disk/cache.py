@@ -36,7 +36,7 @@ from repro.config import CacheParams
 from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
 from repro.errors import SimulationError
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
 
@@ -605,18 +605,20 @@ class BufferCache:
         """Execute a plan's read list; returns total disk seconds spent.
 
         Equivalent to summing :meth:`read` over ``reads`` — the same disk
-        request stream, metric totals and cache/readahead end state (the
-        batched metadata path's determinism contract, docs/PERF.md).  A
+        request stream, metric totals, trace events and cache/readahead end
+        state (the metadata path's determinism contract, docs/PERF.md).  A
         read that is fully resident and does not push past a readahead
         frontier takes a fast path without per-block accounting; anything
-        else — a miss, a frontier crossing, a read past capacity, tracing,
-        or a disabled cache — falls back to the scalar :meth:`read` for
-        that element, *before* any state was touched, so the sequence of
-        cache and context mutations is identical to the scalar loop.  The
+        else — a miss, a frontier crossing, a read past capacity, or a
+        disabled cache — falls back to the scalar :meth:`read` for that
+        element, *before* any state was touched, so the sequence of cache
+        and context mutations is identical to the scalar loop.  Hits
+        counted so far are committed before each fallback, so a fault
+        raised beneath it leaves the same counters as the scalar loop.  The
         adaptive profile always takes the scalar loop (tier promotion is
         order-sensitive on every touch, so there is no deferrable work).
         """
-        if self.tracer.enabled or not self.params.enabled or self._adaptive:
+        if not self.params.enabled or self._adaptive:
             read = self.read
             total = 0.0
             for start, nblocks in reads:
@@ -643,6 +645,8 @@ class BufferCache:
                             ra.move_to_end(ctx_key)
                         self._pending_moves.append((start, end))
                         self._counters["cache.hits"] += nblocks
+                        if self.tracer.enabled:
+                            self.tracer.emit("cache", "hit", start=start, nblocks=nblocks)
                         return 0.0
             return self.read(start, nblocks)
         lru = self._lru
@@ -651,6 +655,8 @@ class BufferCache:
         ra = self._ra
         slack = self._ra_slack
         capacity = self._capacity
+        counters = self._counters
+        tracer = self.tracer
         total = 0.0
         hits = 0
         for start, nblocks in reads:
@@ -673,10 +679,15 @@ class BufferCache:
                             ra.move_to_end(ctx_key)
                         pend((start, end))
                         hits += nblocks
+                        if tracer.enabled:
+                            tracer.emit("cache", "hit", start=start, nblocks=nblocks)
                         continue
+            if hits:
+                counters["cache.hits"] += hits
+                hits = 0
             total += self.read(start, nblocks)
         if hits:
-            self._counters["cache.hits"] += hits
+            counters["cache.hits"] += hits
         return total
 
     def insert_blocks(self, blocks) -> None:

@@ -4,6 +4,14 @@ A :class:`SimulatedDisk` owns its own timeline (busy time), a head position,
 a scheduler, and metrics.  Callers submit *batches* of concurrently
 outstanding requests; the scheduler arranges them and the disk accounts
 positioning + transfer time per dispatched request.
+
+Each arranged batch is timed by one of two kernels: the numpy array kernel
+(:meth:`SimulatedDisk._service_arrays`) for two or more requests, and the
+scalar per-request lane for a single request — which never touches numpy.
+An attached fault injector is the only thing that sends a multi-request
+batch down the per-request lane, because its crash points bill the requests
+serviced before the fault one by one.  Tracing never selects a kernel:
+both emit the same per-request ``disk`` events.
 """
 
 from __future__ import annotations
@@ -30,14 +38,9 @@ class SimulatedDisk:
         metrics: Metrics | None = None,
         name: str = "disk",
         tracer: Tracer | NullTracer | None = None,
-        vectorized: bool = True,
     ) -> None:
         self.params = params
         self.name = name
-        #: Use the numpy batch path of :class:`ServiceTimeModel` for
-        #: multi-request batches.  Bit-identical to the scalar loop; the
-        #: flag exists so the perf runner can time both paths.
-        self.vectorized = vectorized
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.model = ServiceTimeModel(params)
@@ -125,9 +128,8 @@ class SimulatedDisk:
                 )
         total = 0.0
         header = self._charge_header()
-        tracer = self.tracer
         try:
-            total = self._service(self.scheduler.arrange(requests), tracer)
+            total = self._service(self.scheduler.arrange(requests))
         finally:
             # A mid-batch fault still pays for the requests serviced before
             # it fired; _service returns via its partial-total attribute.
@@ -135,9 +137,18 @@ class SimulatedDisk:
             self._partial_s = 0.0
         return total + header
 
-    def _service(self, arranged, tracer: Tracer | NullTracer) -> float:
-        if self.vectorized and self.injector is None and len(arranged) > 1:
-            return self._service_vectorized(arranged, tracer)
+    def _service(self, arranged: Sequence[BlockRequest]) -> float:
+        """Time an arranged batch: the array kernel for two or more
+        requests, the per-request lane for one (or for any batch while a
+        fault injector is attached).  Sets ``_partial_s`` as requests
+        complete; the caller folds it into ``busy_s``."""
+        if self.injector is None and len(arranged) > 1:
+            n = len(arranged)
+            starts = np.fromiter((r.start for r in arranged), dtype=np.int64, count=n)
+            nblocks = np.fromiter((r.nblocks for r in arranged), dtype=np.int64, count=n)
+            is_write = np.fromiter((r.is_write for r in arranged), dtype=bool, count=n)
+            return self._service_arrays(starts, nblocks, is_write)
+        tracer = self.tracer
         total = 0.0
         self._partial_s = 0.0
         for req in arranged:
@@ -176,86 +187,27 @@ class SimulatedDisk:
                 self.metrics.incr("disk.read_blocks", req.nblocks)
         return total
 
-    def _service_vectorized(self, arranged, tracer: Tracer | NullTracer) -> float:
-        """Batch path: per-request times come from the numpy model, and the
-        pure counters are committed once per batch.  ``busy_s`` is folded in
-        request order (``np.add.accumulate`` is the same left-to-right IEEE
-        fold as the scalar loop), so phase timings match bit for bit; only
-        the unrendered positioning/transfer accumulators and histogram sums
-        pick up last-ulp pairwise-summation drift.
-
-        An enabled tracer needs one event per request anyway, so that case
-        keeps a per-request loop over the batch times.
-        """
-        self._partial_s = 0.0
-        n = len(arranged)
-        if not tracer.enabled:
-            starts = np.fromiter((r.start for r in arranged), dtype=np.int64, count=n)
-            nblocks = np.fromiter((r.nblocks for r in arranged), dtype=np.int64, count=n)
-            is_write = np.fromiter((r.is_write for r in arranged), dtype=bool, count=n)
-            return self._service_arrays(starts, nblocks, is_write)
-        positioning, transfer = self.model.time_batch(self._head, arranged)
-        pos = positioning.tolist()
-        tr = transfer.tolist()
-        metrics = self.metrics
-        total = 0.0
-        nblocks_total = 0
-        writes = 0
-        write_blocks = 0
-        positionings = 0
-        for i, req in enumerate(arranged):
-            dur = pos[i] + tr[i]
-            if tracer.enabled:
-                tracer.emit(
-                    "disk",
-                    "write" if req.is_write else "read",
-                    t=self._busy_s + total,
-                    dur=dur,
-                    disk=self.name,
-                    start=req.start,
-                    nblocks=req.nblocks,
-                    seek_s=pos[i],
-                    transfer_s=tr[i],
-                )
-            total += dur
-            self._partial_s = total
-            metrics.observe("disk.request_latency_s", dur)
-            metrics.observe("disk.request_blocks", req.nblocks)
-            metrics.add("disk.positioning_s", pos[i])
-            metrics.add("disk.transfer_s", tr[i])
-            if pos[i] > 0.0:
-                positionings += 1
-            nblocks_total += req.nblocks
-            if req.is_write:
-                writes += 1
-                write_blocks += req.nblocks
-        self._head = arranged[-1].end
-        n = len(arranged)
-        metrics.incr("disk.requests", n)
-        metrics.incr("disk.blocks", nblocks_total)
-        if positionings:
-            metrics.incr("disk.positionings", positionings)
-        if writes:
-            metrics.incr("disk.write_requests", writes)
-            metrics.incr("disk.write_blocks", write_blocks)
-        if writes < n:
-            metrics.incr("disk.read_requests", n - writes)
-            metrics.incr("disk.read_blocks", nblocks_total - write_blocks)
-        return total
-
     def _service_arrays(
         self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
     ) -> float:
-        """Service an *arranged* batch given as parallel arrays.
+        """The array kernel: service an *arranged* batch given as parallel
+        arrays.
 
-        The array core shared by the untraced :meth:`_service_vectorized`
-        branch and :meth:`submit_arrays`.  Sets ``_partial_s`` and the head;
-        the caller folds ``_partial_s`` into ``busy_s``.
+        Per-request times come from the numpy model and the counters are
+        committed once per batch.  ``busy_s`` is folded in request order
+        (``np.add.accumulate`` is the same left-to-right IEEE fold as the
+        per-request lane), so timelines match that lane bit for bit.  An
+        enabled tracer gets one ``disk`` event per serviced request, built
+        from the same arrays after the fact.  Sets ``_partial_s`` and the
+        head; the caller folds ``_partial_s`` into ``busy_s``.
         """
         n = starts.shape[0]
         positioning, transfer = self.model.time_batch_arrays(self._head, starts, nblocks)
         dur = positioning + transfer
-        total = float(np.add.accumulate(dur)[-1])
+        elapsed = np.add.accumulate(dur)
+        total = float(elapsed[-1])
+        if self.tracer.enabled:
+            self._emit_requests(starts, nblocks, is_write, positioning, transfer, elapsed)
         self._partial_s = total
         self._head = int(starts[-1] + nblocks[-1])
         metrics = self.metrics
@@ -280,17 +232,45 @@ class SimulatedDisk:
             metrics.incr("disk.read_blocks", read_blocks)
         return total
 
+    def _emit_requests(
+        self,
+        starts: np.ndarray,
+        nblocks: np.ndarray,
+        is_write: np.ndarray,
+        positioning: np.ndarray,
+        transfer: np.ndarray,
+        elapsed: np.ndarray,
+    ) -> None:
+        """One ``disk`` trace event per request of a serviced array batch,
+        stamped where the request started on this disk's timeline."""
+        emit = self.tracer.emit
+        busy = self._busy_s
+        begins = [0.0] + elapsed[:-1].tolist()
+        for begin, start, count, write, pos, tr in zip(
+            begins, starts.tolist(), nblocks.tolist(), is_write.tolist(),
+            positioning.tolist(), transfer.tolist(),
+        ):
+            emit(
+                "disk",
+                "write" if write else "read",
+                t=busy + begin,
+                dur=pos + tr,
+                disk=self.name,
+                start=start,
+                nblocks=count,
+                seek_s=pos,
+                transfer_s=tr,
+            )
+
     def submit_arrays(
         self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
     ) -> float:
-        """Array-path submit for the batched I/O pipeline.
-
-        Like :meth:`submit_batch` but the batch arrives as parallel
-        ``(starts, nblocks, is_write)`` arrays in arrival order and no
-        :class:`BlockRequest` objects exist at any point.  Caller contract
-        (enforced by :class:`~repro.disk.array.DiskArray`): requests are
-        pre-checked against capacity, the tracer is disabled, no fault
-        injector is attached, and the scheduler supports ``arrange_arrays``.
+        """Array-path submit: like :meth:`submit_batch`, but the batch
+        arrives as parallel ``(starts, nblocks, is_write)`` arrays in arrival
+        order and no :class:`BlockRequest` objects exist at any point.
+        Caller contract (kept by :class:`~repro.disk.array.DiskArray` and
+        the MDS checkpoint): requests are pre-checked against capacity and
+        no fault injector is attached.
         """
         if starts.shape[0] == 0:
             return 0.0
@@ -314,15 +294,15 @@ class SimulatedDisk:
     def submit_one(self, start: int, nblocks: int, is_write: bool) -> float:
         """Single-request fast path: identical effects to :meth:`submit` of
         one :class:`BlockRequest` — the scheduler's batch counters, the disk
-        metrics, head movement and busy-time accounting — without building
-        a request object or arranging a one-element batch (a one-request
-        batch is a fixed point of every scheduler: nothing to sort, nothing
-        to merge).  Caller contract: ``nblocks > 0`` and ``start >= 0``,
-        as :class:`BlockRequest` validation would enforce.  A tracer or
-        fault injector routes back through the object path, which emits
-        trace events and applies fault filters per request.
+        metrics, head movement, busy-time accounting and trace events —
+        without building a request object or arranging a one-element batch
+        (a one-request batch is a fixed point of every scheduler: nothing
+        to sort, nothing to merge).  Caller contract: ``nblocks > 0`` and
+        ``start >= 0``, as :class:`BlockRequest` validation would enforce.
+        An attached fault injector routes back through the object path,
+        which applies its filter to the request.
         """
-        if self.tracer.enabled or self.injector is not None:
+        if self.injector is not None:
             return self.submit(BlockRequest(start, nblocks, is_write=is_write))
         end = start + nblocks
         if end > self.params.capacity_blocks:
@@ -344,6 +324,20 @@ class SimulatedDisk:
                 counters["disk.positionings"] += 1
         transfer = nblocks * model.transfer_s
         total = positioning + transfer
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit("sched", "arrange", requests_in=1, requests_out=1)
+            tracer.emit(
+                "disk",
+                "write" if is_write else "read",
+                t=self._busy_s,
+                dur=total,
+                disk=self.name,
+                start=start,
+                nblocks=nblocks,
+                seek_s=positioning,
+                transfer_s=transfer,
+            )
         self._head = end
         self._busy_s += total
         self._latency_pending(total)

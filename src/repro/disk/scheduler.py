@@ -49,11 +49,10 @@ class FifoScheduler:
     def arrange_arrays(
         self, starts: np.ndarray, nblocks: np.ndarray, writes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of :meth:`arrange` for the batched I/O pipeline.
+        """Array form of :meth:`arrange` for the array submit path.
 
         Arrival order is preserved (no sort); only back-to-back runs within
-        ``merge_gap_blocks`` merge, exactly as :meth:`arrange` does.  Same
-        caller contract as the elevator's ``arrange_arrays``.
+        ``merge_gap_blocks`` merge, exactly as :meth:`arrange` does.
         """
         n = starts.shape[0]
         self.metrics.incr("scheduler.batches")
@@ -61,7 +60,10 @@ class FifoScheduler:
         s, b, w = _merge_arrays(
             starts, nblocks, writes, self.params.merge_gap_blocks
         )
-        self.metrics.incr("scheduler.requests_out", int(s.shape[0]))
+        out = int(s.shape[0])
+        self.metrics.incr("scheduler.requests_out", out)
+        if self.tracer.enabled:
+            self.tracer.emit("sched", "arrange", requests_in=n, requests_out=out)
         return s, b, w
 
 
@@ -104,16 +106,16 @@ class ElevatorScheduler:
     def arrange_arrays(
         self, starts: np.ndarray, nblocks: np.ndarray, writes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of :meth:`arrange` for the batched I/O pipeline.
+        """Array form of :meth:`arrange` for the array submit path.
 
         Takes the batch as parallel ``(starts, nblocks, is_write)`` arrays in
         arrival order and returns the arranged batch the same way, so no
-        :class:`BlockRequest` objects are built.  The permutation and merge
-        decisions are identical to :meth:`arrange`: windows split in arrival
-        order, each stable-sorted by ``(start, nblocks)``, runs merged when
-        the inter-request gap is within ``merge_gap_blocks`` and the kind
-        matches.  Callers handle tracing themselves (the object path stays
-        in use whenever the tracer is enabled).
+        :class:`BlockRequest` objects are built.  The permutation, the merge
+        decisions, the counters and the ``sched arrange`` trace event are
+        identical to :meth:`arrange`: windows split in arrival order, each
+        stable-sorted by ``(start, nblocks)``, runs merged when the
+        inter-request gap is within ``merge_gap_blocks`` and the kind
+        matches.
         """
         n = starts.shape[0]
         self.metrics.incr("scheduler.batches")
@@ -140,7 +142,10 @@ class ElevatorScheduler:
             m_s = np.concatenate(out_s)
             m_n = np.concatenate(out_n)
             m_w = np.concatenate(out_w)
-        self.metrics.incr("scheduler.requests_out", int(m_s.shape[0]))
+        out = int(m_s.shape[0])
+        self.metrics.incr("scheduler.requests_out", out)
+        if self.tracer.enabled:
+            self.tracer.emit("sched", "arrange", requests_in=n, requests_out=out)
         return m_s, m_n, m_w
 
 

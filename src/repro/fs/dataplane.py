@@ -37,15 +37,11 @@ class DataPlane:
         self.config = config
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Execution profile, resolved once: the request path must never
-        # read the deprecated FSConfig boolean views (they warn).
-        self._batched = config.execution == "batched"
         # Untimed layers (allocator, free space) stamp events with the
         # array's elapsed time; an already-bound clock wins.
         self.tracer.bind_clock(lambda: self.array.elapsed_s)
         self.array = DiskArray(
-            config.ndisks, config.disk, config.scheduler, self.metrics, self.tracer,
-            vectorized=self._batched,
+            config.ndisks, config.disk, config.scheduler, self.metrics, self.tracer
         )
         self.fsm = FreeSpaceManager(
             config.ndisks,
@@ -171,13 +167,9 @@ class DataPlane:
         self._check_live(f)
         self._check_range(offset, nbytes, "write")
         lb, nb = self._span(offset, nbytes)
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            self._map_write(f, stream, lb, nb, runs_out)
-            requests = self._emit(runs_out, True)
-        else:
-            requests = []
-            self._map_write_legacy(f, stream, lb, nb, requests)
+        runs_out: list[tuple[int, int]] = []
+        self._map_write(f, stream, lb, nb, runs_out)
+        requests = self._emit(runs_out, True)
         end = offset + nbytes
         if end > f.size_bytes:
             f.size_bytes = end
@@ -205,17 +197,11 @@ class DataPlane:
             raise ReproError("writev of an empty region list")
         for offset, nbytes in regions:
             self._check_range(offset, nbytes, "writev")
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                self._map_write(f, stream, lb, nb, runs_out)
-            requests = self._emit(runs_out, True)
-        else:
-            requests = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                self._map_write_legacy(f, stream, lb, nb, requests)
+        runs_out: list[tuple[int, int]] = []
+        for offset, nbytes in regions:
+            lb, nb = self._span(offset, nbytes)
+            self._map_write(f, stream, lb, nb, runs_out)
+        requests = self._emit(runs_out, True)
         total = 0
         end_max = f.size_bytes
         for offset, nbytes in regions:
@@ -231,40 +217,6 @@ class DataPlane:
         counters["fs.listio_regions"] += len(regions)
         return requests
 
-    def _map_write_legacy(
-        self,
-        f: RedbudFile,
-        stream: StreamId,
-        lb: int,
-        nb: int,
-        requests: list[BlockRequest],
-    ) -> None:
-        """Legacy per-segment write mapping; appends onto ``requests``."""
-        for slot, dstart, dcount in self._segments(f, lb, nb):
-            smap = f.maps[slot]
-            if self.policy.cow:
-                # Copy-on-write: overwrites are relocated — unmap and free
-                # any written blocks in range so they reallocate below.
-                for ext in smap.remove_range(dstart, dcount):
-                    self.fsm.free(ext.physical, ext.length)
-                    self.metrics.incr("fs.cow_relocated_blocks", ext.length)
-            holes = smap.holes_in_range(dstart, dcount)
-            smap.mark_written(dstart, dcount)
-            buffered = False
-            for h_start, h_count in holes:
-                runs = self.policy.allocate(
-                    f.file_id, stream, self._target(f, slot), h_start, h_count
-                )
-                if not runs:
-                    buffered = True  # delayed allocation
-                    continue
-                self._insert_runs(smap, runs)
-            for ext in smap.lookup_range(dstart, dcount):
-                if not ext.unwritten:
-                    requests.append(BlockRequest(ext.physical, ext.length, is_write=True))
-            if buffered:
-                self.metrics.incr("fs.buffered_writes")
-
     def _map_write(
         self,
         f: RedbudFile,
@@ -273,9 +225,8 @@ class DataPlane:
         nb: int,
         runs_out: list[tuple[int, int]],
     ) -> None:
-        """Batched-pipeline write mapping: same extents, metrics and
-        coalesced requests as the legacy per-segment path, with the common
-        case short-circuited.
+        """Write mapping of one logical block range, with the common case
+        short-circuited.
 
         A segment appended past its slot's EOF is one whole hole, so the
         hole scan, the unwritten conversion and the post-allocation range
@@ -331,14 +282,10 @@ class DataPlane:
         self._check_live(f)
         self._check_range(offset, nbytes, "read")
         lb, nb = self._span(offset, nbytes)
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            for slot, dstart, dcount in self._segments(f, lb, nb):
-                runs_out.extend(f.maps[slot].physical_runs(dstart, dcount))
-            requests = self._emit(runs_out, False)
-        else:
-            requests = []
-            self._map_read_legacy(f, lb, nb, requests)
+        runs_out: list[tuple[int, int]] = []
+        for slot, dstart, dcount in self._segments(f, lb, nb):
+            runs_out.extend(f.maps[slot].physical_runs(dstart, dcount))
+        requests = self._emit(runs_out, False)
         counters = self._counters
         counters["fs.reads"] += 1
         counters["fs.bytes_read"] += nbytes
@@ -361,35 +308,19 @@ class DataPlane:
         for offset, nbytes in regions:
             self._check_range(offset, nbytes, "readv")
         total = 0
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                for slot, dstart, dcount in self._segments(f, lb, nb):
-                    runs_out.extend(f.maps[slot].physical_runs(dstart, dcount))
-                total += nbytes
-            requests = self._emit(runs_out, False)
-        else:
-            requests = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                self._map_read_legacy(f, lb, nb, requests)
-                total += nbytes
+        runs_out: list[tuple[int, int]] = []
+        for offset, nbytes in regions:
+            lb, nb = self._span(offset, nbytes)
+            for slot, dstart, dcount in self._segments(f, lb, nb):
+                runs_out.extend(f.maps[slot].physical_runs(dstart, dcount))
+            total += nbytes
+        requests = self._emit(runs_out, False)
         counters = self._counters
         counters["fs.reads"] += len(regions)
         counters["fs.bytes_read"] += total
         counters["fs.listio_reads"] += 1
         counters["fs.listio_regions"] += len(regions)
         return requests
-
-    def _map_read_legacy(
-        self, f: RedbudFile, lb: int, nb: int, requests: list[BlockRequest]
-    ) -> None:
-        """Legacy per-extent read mapping; appends onto ``requests``."""
-        for slot, dstart, dcount in self._segments(f, lb, nb):
-            for ext in f.maps[slot].lookup_range(dstart, dcount):
-                if not ext.unwritten:
-                    requests.append(BlockRequest(ext.physical, ext.length, is_write=False))
 
     def fsync(self, f: RedbudFile) -> list[BlockRequest]:
         """Materialize delayed-allocation buffers; returns their writes."""
@@ -467,17 +398,14 @@ class DataPlane:
     def _segments(
         self, f: RedbudFile, lb: int, nb: int
     ) -> list[tuple[int, int, int]]:
-        """Stripe-unit segments of [lb, lb+nb), grouped when batching.
+        """Stripe-unit segments of [lb, lb+nb), grouped per slot.
 
-        Under the batched execution profile, consecutive stripe units
-        landing on the same slot (writes wider than one rotation) are
-        dlocal-contiguous and are merged into one segment, so the
-        allocation policy sees one large request per PAG instead of one per
-        stripe unit — PVFS list I/O's "describe many pieces in one
-        request".
+        Consecutive stripe units landing on the same slot (writes wider
+        than one rotation) are dlocal-contiguous and are merged into one
+        segment, so the allocation policy sees one large request per PAG
+        instead of one per stripe unit — PVFS list I/O's "describe many
+        pieces in one request".
         """
-        if not self._batched:
-            return list(f.segments(lb, nb))
         sb = f.stripe_blocks
         stripe, off = divmod(lb, sb)
         if off + nb <= sb:  # inside one stripe unit: one segment, no loop
@@ -492,42 +420,14 @@ class DataPlane:
             grouped.append((slot, dstart, dcount))
         return grouped
 
-    def _coalesce(self, requests: list[BlockRequest]) -> list[BlockRequest]:
-        """Merge physically adjacent same-direction requests on one disk.
-
-        Mapping emits one request per extent; an allocator that extended a
-        run leaves neighbours physically adjacent, and those merge here
-        before submission.  Never merges across a disk boundary or a
-        read/write boundary; total blocks are preserved.
-        """
-        if len(requests) < 2:
-            return requests
-        bpd = self.config.disk.capacity_blocks
-        out: list[BlockRequest] = []
-        prev = requests[0]
-        merged = 0
-        for req in requests[1:]:
-            if (
-                req.is_write == prev.is_write
-                and prev.end == req.start
-                and prev.start // bpd == (req.end - 1) // bpd
-            ):
-                prev = BlockRequest(prev.start, prev.nblocks + req.nblocks, prev.is_write)
-                merged += 1
-            else:
-                out.append(prev)
-                prev = req
-        out.append(prev)
-        if merged:
-            self.metrics.incr("fs.coalesced_requests", merged)
-        return out
-
     def _emit(self, runs: list[tuple[int, int]], is_write: bool) -> list[BlockRequest]:
         """Turn ``(physical, length)`` runs into coalesced requests.
 
-        The inline (single-direction) variant of :meth:`_coalesce`: adjacent
-        same-disk runs merge before any :class:`BlockRequest` exists, so the
-        batched paths construct exactly one object per final request.
+        Physically adjacent runs on the same disk merge before any
+        :class:`BlockRequest` exists (an allocator that extended a run
+        leaves neighbours adjacent), so exactly one object is built per
+        final request.  Never merges across a disk boundary; total blocks
+        are preserved.
         """
         if not runs:
             return []

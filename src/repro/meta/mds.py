@@ -46,7 +46,7 @@ class MetadataServer:
         self.tracer.bind_clock(lambda: self.elapsed_s)
         self.disk = SimulatedDisk(
             config.mds_disk, config.scheduler, self.metrics, name="mds",
-            tracer=self.tracer, vectorized=config.execution == "batched",
+            tracer=self.tracer,
         )
         self.cache = BufferCache(config.cache, self.disk, self.metrics, self.tracer)
         self.mfs = MetadataFS(config.meta, config.mds_disk)
@@ -66,11 +66,6 @@ class MetadataServer:
         self._dirty: set[int] = set()
         self._ops_since_ckpt = 0
         self.ops = 0
-        #: Batched execution strategy (FSConfig.execution == "batched"):
-        #: same plans, same simulated results, fewer interpreted steps.
-        #: Engages per call only while tracing is off and no fault injector
-        #: is armed.
-        self._meta_batching = config.execution == "batched"
         #: Embedded-directory metadata prefetch (docs/CACHE.md): under the
         #: adaptive cache profile, readdir/readdirplus against an embedded
         #: directory first pulls the whole contiguous inode+extent region
@@ -177,7 +172,7 @@ class MetadataServer:
     def checkpoint(self) -> int:
         """Flush dirty home blocks; returns the number of dirty blocks.
 
-        Also folds the histogram samples the batched op path left pending,
+        Also folds the histogram samples the op pipeline left pending,
         which bounds them by the checkpoint interval.
         """
         self._op_latency.fold()
@@ -189,20 +184,18 @@ class MetadataServer:
         blocks = sorted(self._dirty)
         disk = self.disk
         if (
-            self._meta_batching
-            and len(blocks) > 1
-            and disk.vectorized
+            len(blocks) > 1
             and disk.injector is None
-            and not self.tracer.enabled
-            and hasattr(disk.scheduler, "arrange_arrays")
             and 0 <= blocks[0]
             and blocks[-1] < disk.capacity_blocks
         ):
-            # Vectorized checkpoint: the sorted dirty set goes down as
-            # parallel arrays — no BlockRequest objects — and the scheduler
-            # coalesces adjacent blocks into runs exactly as it arranges
-            # the scalar path's per-block requests, so the serviced request
-            # stream is identical.  Completion bulk-inserts into the cache.
+            # The sorted dirty set goes down as parallel arrays — no
+            # BlockRequest objects — and the scheduler coalesces adjacent
+            # blocks into runs exactly as it arranges per-block requests.
+            # Completion bulk-inserts into the cache.  A lone block, an
+            # attached fault injector or an out-of-range block takes the
+            # object path (scalar kernel, per-request faults, the disk's
+            # capacity error).
             n = len(blocks)
             starts = np.fromiter(blocks, dtype=np.int64, count=n)
             disk.submit_arrays(
@@ -254,18 +247,9 @@ class MetadataServer:
         # block, cheap) re-establishes the dirty home blocks.  Uncommitted
         # (torn / crashed) records are discarded — their operations never
         # became durable.
-        if (
-            records
-            and self._meta_batching
-            and self.disk.injector is None
-            and not self.tracer.enabled
-        ):
+        if records:
             self.cache.read_batch([(rec.block, 1) for rec in records])
             for rec in records:
-                self._dirty.update(rec.dirties)
-        else:
-            for rec in records:
-                self.cache.read(rec.block, 1)
                 self._dirty.update(rec.dirties)
         self.checkpoint()  # truncates the journal, discarding torn records
         self.metrics.incr("mds.crash_recoveries")
@@ -291,64 +275,16 @@ class MetadataServer:
         return self.elapsed_s
 
     def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
-        if (
-            self._meta_batching
-            and self.disk.injector is None
-            and not self.tracer.enabled
-        ):
-            self._execute_batched(plan, op_name, requests)
-            return
-        plan = plan.coalesce()
-        t0 = self.elapsed_s
-        for block, count in plan.reads:
-            self.cache.read(block, count)
-        if plan.journal_records > 0 and self.config.meta.sync_writes:
-            record, spans = self.journal.log(plan.dirties, plan.journal_records)
-            torn_before = self.disk.torn_writes
-            for start, nblocks in spans:
-                self.disk.submit(BlockRequest(start, nblocks, is_write=True))
-            self.metrics.incr("mds.journal_writes", plan.journal_records)
-            if self.disk.torn_writes > torn_before:
-                # The commit record hit the platter torn: write-ahead rules
-                # say the operation never committed, so replay skips it.
-                self.metrics.incr("mds.torn_journal_records")
-                if self.tracer.enabled:
-                    self.tracer.emit("meta", "journal_torn", seq=record.seq)
-            else:
-                self.journal.commit(record)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "meta", "journal_commit", records=plan.journal_records
-                    )
-        if plan.dirties:
-            self._dirty.update(plan.dirties)
-        self._cpu_s += plan.cpu_s
-        self._overhead_s += requests * self.config.mds_request_overhead_s
-        self.ops += 1
-        self.metrics.incr(f"mds.op.{op_name}")
-        if plan.journal_records > 0:
-            self._ops_since_ckpt += 1
-            if self._ops_since_ckpt >= self.config.meta.journal_interval_ops:
-                self.checkpoint()
-        elapsed = self.elapsed_s - t0
-        self.metrics.observe("mds.op_latency_s", elapsed)
-        if self.tracer.enabled:
-            self.tracer.emit("meta", op_name, t=t0, dur=elapsed)
-
-    def _execute_batched(self, plan: AccessPlan, op_name: str, requests: int) -> None:
-        """The per-op pipeline of the batched profile.
-
-        Same simulated effects in the same order as the scalar
-        :meth:`_execute`: the plan's reads go through
-        :meth:`BufferCache.read_batch`, its journal record is logged and
-        its commit spans written through :meth:`SimulatedDisk.submit_one`,
-        its dirties join the checkpoint set, and the op latency lands in
-        the histogram's pending samples.  Layout plans arrive coalesced
-        (built through :meth:`AccessPlan.add_read`); only raw ones, such as
-        readdir sweeps, are coalesced here.  Only reached with no fault
-        injector armed and tracing off, so the commit write cannot tear
-        (the scalar path's torn-record branch is unreachable) and no per-op
-        trace events are owed.
+        """The per-op pipeline: the plan's reads go through
+        :meth:`BufferCache.read_batch`, its journal record is logged and its
+        commit spans written through :meth:`SimulatedDisk.submit_one`, its
+        dirties join the checkpoint set, and the op latency lands in the
+        histogram (journaled ops leave it pending until the next
+        checkpoint).  Layout plans arrive coalesced (built through
+        :meth:`AccessPlan.add_read`); only raw ones, such as readdir sweeps,
+        are coalesced here.  An attached fault injector can tear the commit
+        write: write-ahead rules then say the operation never committed,
+        so replay skips its record.
         """
         if plan.seen is None:
             plan = plan.coalesce()
@@ -359,12 +295,22 @@ class MetadataServer:
         if reads:
             self.cache.read_batch(reads)
         journal_records = plan.journal_records
+        tracer = self.tracer
         if journal_records > 0 and self._sync_writes:
             record, spans = self.journal.log(dirties, journal_records)
+            injector = disk.injector
+            torn_before = 0 if injector is None else injector.torn_writes
             for start, nblocks in spans:
                 disk.submit_one(start, nblocks, True)
             counters["mds.journal_writes"] += journal_records
-            record.committed = True
+            if injector is not None and injector.torn_writes > torn_before:
+                counters["mds.torn_journal_records"] += 1
+                if tracer.enabled:
+                    tracer.emit("meta", "journal_torn", seq=record.seq)
+            else:
+                record.committed = True
+                if tracer.enabled:
+                    tracer.emit("meta", "journal_commit", records=journal_records)
         if dirties:
             self._dirty.update(dirties)
         self._cpu_s += plan.cpu_s
@@ -378,12 +324,12 @@ class MetadataServer:
             self._ops_since_ckpt += 1
             if self._ops_since_ckpt >= self._ckpt_interval:
                 self.checkpoint()
+            elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
             # Left pending: the checkpoint folds them, so at most one
             # interval's worth wait.
-            self._op_latency_pending(
-                disk.busy_s + self._cpu_s + self._overhead_s - t0
-            )
+            self._op_latency_pending(elapsed)
         else:
-            self._op_latency.observe(
-                disk.busy_s + self._cpu_s + self._overhead_s - t0
-            )
+            elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
+            self._op_latency.observe(elapsed)
+        if tracer.enabled:
+            tracer.emit("meta", op_name, t=t0, dur=elapsed)

@@ -4,8 +4,8 @@
 with: a :class:`Tracer` collects structured, simulated-time
 :class:`TraceEvent` records from the instrumented layers (allocator window
 transitions, PAG fallbacks, disk seek/transfer, cache hits, journal
-commits) — or a :class:`SamplingTracer` collects them for 1-in-N streams
-without pulling the run off the vectorized fast paths — :class:`Histogram`
+commits) — or a :class:`SamplingTracer` collects them for 1-in-N streams;
+neither changes which code path a run takes — :class:`Histogram`
 sketches latency/size distributions inside
 :class:`~repro.sim.metrics.Metrics`, :class:`TimeSeries` rolls signals
 into fixed-width simulated-time windows, :func:`evaluate_slo` checks

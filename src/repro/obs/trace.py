@@ -9,7 +9,9 @@ dropped; tracing never grows without bound.
 Hot paths guard every emission with ``if tracer.enabled:`` and default to
 the shared :data:`NULL_TRACER`, whose ``enabled`` is ``False`` and whose
 methods are no-ops — with tracing off the per-operation cost is one
-attribute load and a branch.
+attribute load and a branch.  The flag guards emissions and nothing else:
+no layer picks a different code path when tracing is on, so a traced run
+computes exactly the metrics of an untraced one.
 
 Timestamps are *simulated* seconds.  A component that owns a timeline (a
 disk, the MDS) passes ``t=`` explicitly; everything else falls back to the
@@ -210,13 +212,11 @@ class _ArmedOp:
 class SamplingTracer(Tracer):
     """Trace 1-in-N deterministically chosen streams end-to-end.
 
-    The all-or-nothing :class:`Tracer` gate has a structural cost: hot
-    paths check ``tracer.enabled`` to pick between the vectorized and the
-    per-request code paths, so a whole-run tracer forces *every* operation
-    off the fast path.  A ``SamplingTracer`` is **dormant at rest** —
-    ``enabled`` is False, so unsampled operations (the overwhelming
-    majority) take the vectorized paths untouched — and is *armed* only
-    for the duration of a sampled operation:
+    A whole-run :class:`Tracer` records every operation, which on a large
+    service run means millions of events.  A ``SamplingTracer`` is
+    **dormant at rest** — ``enabled`` is False, so unsampled operations
+    (the overwhelming majority) build no events — and is *armed* only for
+    the duration of a sampled operation:
 
     >>> tracer = SamplingTracer(every=1000)
     >>> if tracer.sampled(stream):                      # doctest: +SKIP
@@ -225,9 +225,9 @@ class SamplingTracer(Tracer):
 
     Inside the ``with`` block every instrumented layer the operation
     touches (MDS queue, journal, allocator, disk) sees an enabled tracer
-    and emits through the ordinary per-request paths, which are
-    bit-identical in results to the vectorized ones (the perf-equivalence
-    harness pins that), so sampling observes without perturbing.
+    and emits its events; since ``enabled`` only guards emissions, the
+    operation takes the same code path as an unsampled one and sampling
+    observes without perturbing.
 
     Stream selection is deterministic — ``stream % every == offset`` —
     so repeated runs with the same seed trace the same streams.  Events

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
+from repro.config import FSConfig
 from repro.core.run import RunResult, fingerprint, run, runner_names
 from repro.errors import ConfigError
 from repro.obs import Tracer
@@ -113,14 +115,22 @@ class TestUnifiedInvocation:
         assert serial.payload == fanned.payload
         assert serial.phases == fanned.phases
 
-    def test_legacy_io_alias_warns_and_matches(self):
-        new = run("fig7", scale=SCALE, ndisks=2, policies=("ondemand",),
-                  collectives=(False,), execution="legacy")
-        with pytest.warns(DeprecationWarning, match="legacy_io"):
-            old = run("fig7", scale=SCALE, ndisks=2, policies=("ondemand",),
-                      collectives=(False,), legacy_io=True)
-        assert old.fingerprint == new.fingerprint
-        assert old.payload == new.payload
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: FSConfig(io_batching=False),
+            lambda: replace(FSConfig(), execution="legacy"),
+            lambda: run("fig7", scale=SCALE, execution="legacy"),
+            lambda: run("fig7", scale=SCALE, legacy_io=True),
+        ],
+        ids=["fsconfig-io_batching", "replace-execution", "run-execution",
+             "run-legacy_io"],
+    )
+    def test_execution_profile_options_are_gone(self, call):
+        """There is one execution path per layer: no config field,
+        constructor alias or runner kwarg selects another one."""
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestTraceCLI:

@@ -3,19 +3,20 @@
 Covers the tentpole end-to-end — data-plane region-list mapping with
 cross-region coalescing, the facade and client-session entry points, the
 per-submission request header — plus the satellites: unified range
-validation, deprecation-free internals, write/read layout-accounting
-symmetry, and the fifo scheduler's array path.
+validation, write/read layout-accounting symmetry, and the fifo
+scheduler's array path.  Data-plane cases run on both the production
+plane and its scalar reference (``tests/reference.py``); the parameter ids
+``batched``/``legacy`` name those two.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.config import DiskParams, FSConfig
+from repro.config import DiskParams
 from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
 from repro.disk.scheduler import ElevatorScheduler, FifoScheduler
@@ -26,8 +27,10 @@ from repro.fs.redbud import RedbudFileSystem
 from repro.units import KiB
 
 from tests.conftest import small_config
+from tests.reference import ReferenceDataPlane
 
 BS = 4 * KiB
+PLANE_IDS = ["batched", "legacy"]
 
 
 def _extent_tuples(f):
@@ -53,9 +56,9 @@ def _covered_blocks(requests):
 class TestUnifiedValidation:
     """All four data ops reject bad ranges with one exception type."""
 
-    @pytest.fixture(params=["batched", "legacy"])
+    @pytest.fixture(params=[DataPlane, ReferenceDataPlane], ids=PLANE_IDS)
     def plane(self, request):
-        return DataPlane(small_config(execution=request.param))
+        return request.param(small_config())
 
     def test_zero_and_negative_lengths(self, plane):
         f = plane.create_file("/v")
@@ -106,16 +109,16 @@ class TestUnifiedValidation:
 # ---------------------------------------------------------------------------
 
 class TestDataPlaneListIO:
-    @pytest.fixture(params=["batched", "legacy"])
-    def execution(self, request):
+    @pytest.fixture(params=[DataPlane, ReferenceDataPlane], ids=PLANE_IDS)
+    def plane_cls(self, request):
         return request.param
 
-    def test_writev_equals_scalar_loop(self, execution):
+    def test_writev_equals_scalar_loop(self, plane_cls):
         """One writev maps exactly like the in-order loop of writes: same
         extents, same size, same per-byte counters."""
         regions = [(0, BS), (8 * BS, 2 * BS), (3 * BS, BS), (16 * BS, 3 * BS)]
-        pa = DataPlane(small_config(execution=execution))
-        pb = DataPlane(small_config(execution=execution))
+        pa = plane_cls(small_config())
+        pb = plane_cls(small_config())
         fa = pa.create_file("/a")
         fb = pb.create_file("/b")
         for off, n in regions:
@@ -132,9 +135,9 @@ class TestDataPlaneListIO:
         assert pb.metrics.count("fs.listio_writes") == 1
         assert pb.metrics.count("fs.listio_regions") == len(regions)
 
-    def test_readv_equals_scalar_loop(self, execution):
+    def test_readv_equals_scalar_loop(self, plane_cls):
         regions = [(0, 2 * BS), (10 * BS, BS), (4 * BS, 2 * BS)]
-        plane = DataPlane(small_config(execution=execution))
+        plane = plane_cls(small_config())
         f = plane.create_file("/r")
         for off, n in regions:
             plane.write(f, 0, off, n)
@@ -147,8 +150,8 @@ class TestDataPlaneListIO:
         assert plane.metrics.count("fs.reads") == 2 * len(regions)
         assert plane.metrics.count("fs.listio_reads") == 1
 
-    def test_readv_skips_holes(self, execution):
-        plane = DataPlane(small_config(execution=execution))
+    def test_readv_skips_holes(self, plane_cls):
+        plane = plane_cls(small_config())
         f = plane.create_file("/h")
         plane.write(f, 0, 0, BS)
         reqs = plane.readv(f, [(0, BS), (100 * BS, 4 * BS)])
@@ -158,7 +161,7 @@ class TestDataPlaneListIO:
         """Physically adjacent runs merge across non-adjacent logical
         regions: the win PVFS list I/O gets from one request carrying the
         whole list."""
-        plane = DataPlane(small_config(execution="batched"))
+        plane = DataPlane(small_config())
         f = plane.create_file("/c", width=1)
         # Descending logical order: the stream's allocations chain
         # physically (each miss allocates right after the previous run), so
@@ -174,8 +177,8 @@ class TestDataPlaneListIO:
         assert len(scalar) == 2
         assert plane.metrics.count("fs.coalesced_requests") >= 2
 
-    def test_listio_on_deleted_file(self, execution):
-        plane = DataPlane(small_config(execution=execution))
+    def test_listio_on_deleted_file(self, plane_cls):
+        plane = plane_cls(small_config())
         f = plane.create_file("/d")
         plane.write(f, 0, 0, BS)
         plane.close_file(f)
@@ -302,35 +305,6 @@ class TestRequestHeader:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: deprecated execution-flag aliases
-# ---------------------------------------------------------------------------
-
-class TestDeprecationSweep:
-    def test_boolean_views_warn(self):
-        cfg = small_config()
-        for name in ("io_batching", "vectorized_disks", "meta_batching"):
-            with pytest.warns(DeprecationWarning, match=name):
-                getattr(cfg, name)
-
-    @pytest.mark.filterwarnings("error::DeprecationWarning")
-    @pytest.mark.parametrize("execution", ["batched", "legacy"])
-    def test_request_path_is_warning_free(self, execution):
-        """No internal layer consults the deprecated aliases: the whole
-        request path runs with DeprecationWarning promoted to an error."""
-        fs = RedbudFileSystem(small_config(execution=execution))
-        fs.create("/w")
-        regions = [(0, BS), (8 * BS, 2 * BS)]
-        fs.write("/w", 0, 4 * BS)
-        fs.read("/w", 0, 4 * BS)
-        fs.writev("/w", regions)
-        fs.readv("/w", regions)
-        fs.fsync("/w")
-        client = ClientSession(fs, client_id=2)
-        client.writev("/w", regions)
-        client.readv("/w", regions)
-
-
-# ---------------------------------------------------------------------------
 # Tentpole: fifo scheduler array path
 # ---------------------------------------------------------------------------
 
@@ -366,7 +340,6 @@ class TestFifoArrangeArrays:
 
         cfg = replace(small_config(), scheduler=SchedulerParams(kind="fifo"))
         plane = DataPlane(cfg)
-        assert plane.array._arrays_capable
         # A 2-request batch on one disk (too far apart to merge) drives the
         # fifo scheduler's new arrange_arrays fast path.
         plane.array.submit_batch(

@@ -24,9 +24,7 @@ from repro.fs.stream import make_stream_id
 from repro.fs.verify import (
     FsckReport,
     check_dataplane,
-    check_dataplane_reference,
     check_mds,
-    check_mds_reference,
     repair_dataplane,
     repair_mds,
     shard_work,
@@ -36,6 +34,7 @@ from repro.units import KiB
 from repro.workloads.service import ScrubSpec
 
 from tests.conftest import small_config
+from tests.reference import check_dataplane_reference, check_mds_reference
 
 
 def populated_plane() -> DataPlane:

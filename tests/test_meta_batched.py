@@ -1,16 +1,14 @@
-"""Batched metadata execution path: exact equivalence to the scalar path.
+"""Metadata execution path: exact equivalence to the scalar reference.
 
-``FSConfig.execution`` selects an execution strategy, not a model: the
-plan-level ``read_batch``, the journal group commit and the vectorized
-checkpoint must leave the MDS in exactly the state the per-read/per-block
-scalar path does — same elapsed time bits, counters, histograms, cache LRU
-and readahead order, and disk head.  These tests drive identical workloads
-through both strategies and diff the complete observable state.
+The plan-level ``read_batch``, the journal commit through ``submit_one``
+and the array checkpoint must leave the MDS in exactly the state the
+per-read/per-block reference server (``tests/reference.py``) does — same
+elapsed time bits, counters, histograms, cache LRU and readahead order,
+and disk head.  These tests drive identical workloads through both and
+diff the complete observable state.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -25,6 +23,8 @@ from repro.fs.profiles import (
 from repro.meta.layout import AccessPlan
 from repro.meta.mds import MetadataServer
 
+from tests.reference import ReferenceMetadataServer
+
 PROFILES = {
     "lustre": lustre_profile,
     "redbud-vanilla": redbud_vanilla_profile,
@@ -33,12 +33,12 @@ PROFILES = {
 
 
 def snapshot(mds: MetadataServer) -> dict:
-    """Every observable the batched path could disturb, exact bits.
+    """Every observable the production path could disturb, exact bits.
 
     The only tolerance: the unrendered ``disk.positioning_s`` /
-    ``disk.transfer_s`` accumulators, whose vectorized sums carry last-ulp
+    ``disk.transfer_s`` accumulators, whose array-kernel sums carry last-ulp
     pairwise-summation drift against the scalar fold (see
-    ``SimulatedDisk._service_vectorized``); they are rounded, everything
+    ``SimulatedDisk._service_arrays``); they are rounded, everything
     else — including elapsed time and busy time — compares bit for bit.
     ``mds.op_latency_s`` is folded sequentially on both paths, so its
     exact total and extrema are compared too.
@@ -102,7 +102,7 @@ def drive(mds: MetadataServer, crash: bool = False) -> None:
 def test_batched_path_matches_scalar(profile):
     make = PROFILES[profile]
     batched = MetadataServer(make())
-    scalar = MetadataServer(replace(make(), execution="legacy"))
+    scalar = ReferenceMetadataServer(make())
     drive(batched)
     drive(scalar)
     assert batched.metrics.count("mds.checkpoints") > 0  # both limbs exercised
@@ -113,7 +113,7 @@ def test_batched_path_matches_scalar(profile):
 def test_crash_recovery_matches_scalar(profile):
     make = PROFILES[profile]
     batched = MetadataServer(make())
-    scalar = MetadataServer(replace(make(), execution="legacy"))
+    scalar = ReferenceMetadataServer(make())
     drive(batched, crash=True)
     drive(scalar, crash=True)
     assert batched.metrics.count("mds.crash_recoveries") == 1
@@ -125,7 +125,7 @@ def test_vectorized_checkpoint_matches_scalar_checkpoint():
     same request stream, cache population and busy time."""
     cfg = redbud_mif_profile()
     batched = MetadataServer(cfg)
-    scalar = MetadataServer(replace(cfg, execution="legacy"))
+    scalar = ReferenceMetadataServer(cfg)
     for mds in (batched, scalar):
         d = mds.mkdir(mds.root, "dir")
         for j in range(30):  # dirties a scattered set of home blocks

@@ -27,9 +27,10 @@ from repro.fs.dataplane import DataPlane
 from repro.sim.metrics import Metrics
 
 from tests.conftest import small_config
+from tests.reference import ReferenceDiskArray, coalesce_requests
 
 # ---------------------------------------------------------------------------
-# Coalescing invariants (DataPlane._emit / _coalesce)
+# Coalescing invariants (DataPlane._emit / the coalesce_requests oracle)
 # ---------------------------------------------------------------------------
 
 BPD = 16384  # capacity_blocks of the small test config's disks
@@ -66,10 +67,11 @@ class TestEmitInvariants:
 
     @given(runs=run_lists)
     def test_emit_matches_coalesce_oracle(self, runs):
-        """_emit is the inline form of _coalesce over single-direction runs."""
+        """_emit is the inline form of coalesce_requests over
+        single-direction runs."""
         plane = make_plane()
         raw = [BlockRequest(p, n, is_write=True) for p, n in runs]
-        assert plane._emit(list(runs), True) == plane._coalesce(raw)
+        assert plane._emit(list(runs), True) == coalesce_requests(raw, BPD)
 
     def test_adjacent_same_disk_runs_merge(self):
         plane = make_plane()
@@ -91,11 +93,10 @@ class TestCoalesceInvariants:
         )
     )
     def test_blocks_and_direction_boundaries_preserved(self, batch):
-        plane = make_plane()
         reqs = [BlockRequest(s, n, w) for s, n, w in batch if s + n <= 2 * BPD]
         if not reqs:
             return
-        out = plane._coalesce(list(reqs))
+        out = coalesce_requests(list(reqs), BPD)
         assert sum(r.nblocks for r in out) == sum(r.nblocks for r in reqs)
         # Merges only happen between same-direction neighbours, so per-
         # direction block totals are preserved too.
@@ -105,8 +106,9 @@ class TestCoalesceInvariants:
             )
 
     def test_read_write_boundary_never_merges(self):
-        plane = make_plane()
-        out = plane._coalesce([BlockRequest(0, 4, True), BlockRequest(4, 4, False)])
+        out = coalesce_requests(
+            [BlockRequest(0, 4, True), BlockRequest(4, 4, False)], BPD
+        )
         assert len(out) == 2
 
 
@@ -187,11 +189,10 @@ class TestSubmitArraysEquivalence:
         params = DiskParams(capacity_blocks=BPD)
 
         fast = DiskArray(2, params, metrics=Metrics())
-        assert fast._arrays_capable
         t_fast = fast.submit_batch(list(reqs))
+        assert fast.io_profile["batches_vectorized"] == 1
 
-        slow = DiskArray(2, params, metrics=Metrics())
-        slow._arrays_capable = False  # force the per-request object path
+        slow = ReferenceDiskArray(2, params, metrics=Metrics())
         t_slow = slow.submit_batch(list(reqs))
 
         # Same IEEE-754 operations in the same order: exact equality, not

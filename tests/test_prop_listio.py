@@ -5,8 +5,9 @@ The PVFS list-I/O contract: a scatter-gather request must be purely an
 metrics, and (for lists of disjoint regions) the same simulated service
 time when the scalar loop's requests are gathered into one submitted
 batch.  The only allowed differences are fewer request objects
-(cross-region coalescing) and the ``fs.listio_*`` counters.  Checked
-under both execution profiles.
+(cross-region coalescing) and the ``fs.listio_*`` counters.  Checked on
+both the production data plane and its scalar reference
+(``tests/reference.py``).
 
 Overlapping regions keep the layout/metrics equivalence but not the
 single-batch service identity: the scalar loop emits duplicate physical
@@ -23,6 +24,7 @@ from repro.fs.dataplane import DataPlane
 from repro.units import KiB
 
 from tests.conftest import small_config
+from tests.reference import ReferenceDataPlane
 
 BS = 4 * KiB
 
@@ -33,7 +35,7 @@ _REGION = st.tuples(
     st.integers(min_value=1, max_value=8 * BS),
 )
 _REGIONS = st.lists(_REGION, min_size=1, max_size=8)
-_EXECUTION = st.sampled_from(["batched", "legacy"])
+_PLANE = st.sampled_from([DataPlane, ReferenceDataPlane])
 
 
 @st.composite
@@ -72,13 +74,13 @@ def _covered_blocks(requests):
 
 
 @settings(max_examples=60, deadline=None)
-@given(regions=_REGIONS, execution=_EXECUTION, stream=st.integers(0, 3))
-def test_writev_layout_oracle(regions, execution, stream):
+@given(regions=_REGIONS, plane_cls=_PLANE, stream=st.integers(0, 3))
+def test_writev_layout_oracle(regions, plane_cls, stream):
     """writev(list) ≡ the in-order loop of write(region) calls: identical
     extents, size, per-byte counters and covered blocks — even when
     regions overlap."""
-    loop = DataPlane(small_config(execution=execution))
-    vec = DataPlane(small_config(execution=execution))
+    loop = plane_cls(small_config())
+    vec = plane_cls(small_config())
     fl = loop.create_file("/f")
     fv = vec.create_file("/f")
     scalar_reqs = []
@@ -94,13 +96,13 @@ def test_writev_layout_oracle(regions, execution, stream):
 
 
 @settings(max_examples=60, deadline=None)
-@given(regions=_disjoint_regions(), execution=_EXECUTION, stream=st.integers(0, 3))
-def test_writev_service_time_oracle(regions, execution, stream):
+@given(regions=_disjoint_regions(), plane_cls=_PLANE, stream=st.integers(0, 3))
+def test_writev_service_time_oracle(regions, plane_cls, stream):
     """For disjoint regions, gathering the scalar loop's requests into one
     batch costs exactly what the one list request costs: the elevator
     re-derives every merge _emit already performed."""
-    loop = DataPlane(small_config(execution=execution))
-    vec = DataPlane(small_config(execution=execution))
+    loop = plane_cls(small_config())
+    vec = plane_cls(small_config())
     fl = loop.create_file("/f")
     fv = vec.create_file("/f")
     scalar_reqs = []
@@ -115,16 +117,16 @@ def test_writev_service_time_oracle(regions, execution, stream):
 @given(
     write_regions=_REGIONS,
     read_regions=_REGIONS,
-    execution=_EXECUTION,
+    plane_cls=_PLANE,
 )
-def test_readv_oracle(write_regions, read_regions, execution):
+def test_readv_oracle(write_regions, read_regions, plane_cls):
     """readv(list) ≡ the in-order loop of read(region) calls, including
     over holes, after an arbitrary writev-laid-down layout.  Overlapping
     read regions keep this coverage/counter equivalence but not the
     service identity (the loop re-reads the overlap as duplicate runs
     the elevator cannot merge), so service time is checked separately
     below on disjoint regions."""
-    plane = DataPlane(small_config(execution=execution))
+    plane = plane_cls(small_config())
     f = plane.create_file("/f")
     plane.writev(f, 0, write_regions)
     scalar_reqs = []
@@ -145,13 +147,13 @@ def test_readv_oracle(write_regions, read_regions, execution):
 @given(
     write_regions=_REGIONS,
     read_regions=_disjoint_regions(),
-    execution=_EXECUTION,
+    plane_cls=_PLANE,
 )
-def test_readv_service_time_oracle(write_regions, read_regions, execution):
+def test_readv_service_time_oracle(write_regions, read_regions, plane_cls):
     """For disjoint read regions, the gathered scalar batch and the one
     list request cost the same on fresh twin arrays (same head start,
     same elevator) — and move the same total block count."""
-    plane = DataPlane(small_config(execution=execution))
+    plane = plane_cls(small_config())
     f = plane.create_file("/f")
     plane.writev(f, 0, write_regions)
     scalar_reqs = []
@@ -160,8 +162,8 @@ def test_readv_service_time_oracle(write_regions, read_regions, execution):
     vec_reqs = plane.readv(f, read_regions)
     assert _covered_blocks(scalar_reqs) == _covered_blocks(vec_reqs)
     assert sum(r.nblocks for r in scalar_reqs) == sum(r.nblocks for r in vec_reqs)
-    twin_a = DataPlane(small_config(execution=execution))
-    twin_b = DataPlane(small_config(execution=execution))
+    twin_a = plane_cls(small_config())
+    twin_b = plane_cls(small_config())
     assert twin_a.array.submit_batch(vec_reqs) == twin_b.array.submit_batch(
         scalar_reqs
     )

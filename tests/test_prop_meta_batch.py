@@ -1,4 +1,4 @@
-"""Property-based oracles for the batched metadata execution path.
+"""Property-based oracles for the metadata execution path.
 
 Each contract is checked against its scalar twin on random inputs:
 
@@ -17,8 +17,8 @@ Each contract is checked against its scalar twin on random inputs:
 - Building a plan's reads span by span (``AccessPlan.add_read``, also
   through ``merge``) is ``coalesce()`` of the raw span list.
 
-- A batched ``MetadataServer`` and its ``execution="legacy"`` twin end in
-  the same full observable state after any op sequence, on both layouts
+- A ``MetadataServer`` and its per-read/per-block reference twin
+  (``tests/reference.py``) end in the same full observable state after any op sequence, on both layouts
   and all three profiles, with frequent checkpoints and a journal small
   enough that multi-block records wrap into two commit spans.
 """
@@ -43,6 +43,7 @@ from repro.fs.profiles import (
 from repro.meta.journal import Journal
 from repro.meta.layout import AccessPlan
 from repro.meta.mds import MetadataServer
+from tests.reference import ReferenceMetadataServer
 from tests.test_meta_batched import snapshot
 
 CAPACITY = 192
@@ -231,7 +232,7 @@ def test_merge_rejects_a_folded_sub_plan():
 
 
 # ---------------------------------------------------------------------------
-# Batched MDS vs its legacy twin under random op sequences
+# MDS vs its reference twin under random op sequences
 # ---------------------------------------------------------------------------
 
 PROFILES = {
@@ -317,8 +318,8 @@ def test_batched_mds_matches_legacy_twin(ops, profile, layout, interval, journal
             journal_blocks=journal,
         ),
     )
-    batched = MetadataServer(cfg)
-    legacy = MetadataServer(replace(cfg, execution="legacy"))
-    run_ops(batched, ops)
-    run_ops(legacy, ops)
-    assert snapshot(batched) == snapshot(legacy)
+    mds = MetadataServer(cfg)
+    reference = ReferenceMetadataServer(cfg)
+    run_ops(mds, ops)
+    run_ops(reference, ops)
+    assert snapshot(mds) == snapshot(reference)
