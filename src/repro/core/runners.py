@@ -1164,6 +1164,10 @@ def _station_report(st, duration_s: float, drops_by_kind: dict[str, int]) -> Sta
     )
 
 
+#: The op kinds each service station serves, in event-source order.
+_STATION_KINDS = {"data": ("write", "read"), "meta": ("meta",)}
+
+
 def _service_cell(spec, tracer=None) -> CellResult:
     """One open-loop operating point: build, arrive, drain, report."""
     svc, cfg, telemetry_window, objectives, scrub = spec
@@ -1186,43 +1190,61 @@ def _service_cell(spec, tracer=None) -> CellResult:
             st.probe = telem.station_probe(st.name)
         telem.track_cache(mds.metrics)
     sampler = tracer if isinstance(tracer, SamplingTracer) else None
-    moved = {"bytes": 0}
-    drops = {"data": {"write": 0, "read": 0}, "meta": {"meta": 0}}
+    # Drops per op kind.  A station's last kind needs no counter of its
+    # own — its drops are the station's less the other kinds' — so
+    # unsampled, its events go straight to ``Station.offer``.
+    kind_drops = {kind: [0] for kind in ServiceWorkload.KINDS}
 
-    def arrive(station, kind, op_bytes, kind_drops):
+    def drops_by_kind(name: str) -> dict[str, int]:
+        *counted, last = _STATION_KINDS[name]
+        drops = {kind: kind_drops[kind][0] for kind in counted}
+        drops[last] = stations[name].dropped - sum(drops.values())
+        return drops
+
+    def arrive(station, kind, counted):
+        offer = station.offer
+        dropped = kind_drops[kind]
+        if sampler is None:
+            if not counted:
+                return offer
+
+            def on_event(now, op):
+                if offer(now, op) is None:
+                    dropped[0] += 1
+
+            return on_event
         pending = wl.pending_stream
-
-        def on_event(now, op):
-            if sampler is not None and sampler.sampled(pending[kind]):
-                stream = pending[kind]
-                with sampler.op(stream):
-                    sampler.emit(
-                        "service", f"{kind}.arrive", t=now, station=station.name,
-                    )
-                    done = station.offer(now, op)
-                    if done is None:
-                        sampler.emit(
-                            "service", f"{kind}.drop", t=now, station=station.name,
-                        )
-                    else:
-                        sampler.emit(
-                            "service", f"{kind}.sojourn", t=now, dur=done - now,
-                            station=station.name,
-                        )
-            else:
-                done = station.offer(now, op)
-            if done is None:
-                kind_drops[kind] += 1
-            else:
-                moved["bytes"] += op_bytes(op)
-        return on_event
-
-    for kind in ServiceWorkload.KINDS:
-        name = "meta" if kind == "meta" else "data"
-        loop.add_source(
-            wl.events(kind),
-            arrive(stations[name], kind, wl.bytes_for, drops[name]),
+        sampled = sampler.sampled
+        arrive_op, drop_op, sojourn_op = (
+            f"{kind}.arrive", f"{kind}.drop", f"{kind}.sojourn",
         )
+
+        def on_sampled_event(now, op):
+            stream = pending[kind]
+            if not sampled(stream):
+                if offer(now, op) is None:
+                    dropped[0] += 1
+                return
+            with sampler.op(stream):
+                sampler.emit("service", arrive_op, t=now, station=station.name)
+                done = offer(now, op)
+                if done is None:
+                    sampler.emit("service", drop_op, t=now, station=station.name)
+                else:
+                    sampler.emit(
+                        "service", sojourn_op, t=now, dur=done - now,
+                        station=station.name,
+                    )
+            if done is None:
+                dropped[0] += 1
+
+        return on_sampled_event
+
+    for name, kinds in _STATION_KINDS.items():
+        for kind in kinds:
+            loop.add_source(
+                wl.events(kind), arrive(stations[name], kind, kind != kinds[-1]),
+            )
 
     scrubber = None
     injected: list[str] = []
@@ -1293,7 +1315,8 @@ def _service_cell(spec, tracer=None) -> CellResult:
     cell.phase(
         label,
         ThroughputResult(
-            bytes_moved=moved["bytes"],
+            # Every op the data station started moved one request.
+            bytes_moved=stations["data"].started * svc.request_bytes,
             elapsed=svc.duration_s,
             ops=sum(st.started for st in stations.values()),
         ),
@@ -1320,7 +1343,7 @@ def _service_cell(spec, tracer=None) -> CellResult:
         arrivals=loop.processed,
         active_streams=wl.active_streams,
         stations={
-            name: _station_report(st, svc.duration_s, drops[name])
+            name: _station_report(st, svc.duration_s, drops_by_kind(name))
             for name, st in stations.items()
         },
         io_profile=dict(plane.array.io_profile),

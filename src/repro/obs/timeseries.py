@@ -118,11 +118,21 @@ class TimeSeries:
         idx = int(t / self.window_s)
         if idx == self._last_idx:
             return self._last_frame  # type: ignore[return-value]
+        f = self.frame_at(idx)
+        self._last_idx = idx
+        self._last_frame = f
+        return f
+
+    def frame_at(self, idx: int) -> Frame:
+        """The mutable frame of window ``idx``, created on first use.
+
+        Callers that already know a window's index address it here:
+        mapping ``idx * window_s`` back through :meth:`frame` can land one
+        window early (``29 * 0.04 / 0.04`` is 28.999…).
+        """
         f = self._frames.get(idx)
         if f is None:
             f = self._frames[idx] = Frame(idx)
-        self._last_idx = idx
-        self._last_frame = f
         return f
 
     # -- recording ---------------------------------------------------------

@@ -31,22 +31,56 @@ Two pieces:
     saturation and goodput reporting.
 
 The loop is time-ordered and deterministic: ties in arrival time break by
-registration order, sources draw from :func:`repro.rng.derive_rng`
+scheduling order, sources draw from :func:`repro.rng.derive_rng`
 sub-streams, and nothing here consults wall-clock time.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.obs.histogram import Histogram
+from repro.obs.histogram import Histogram, HistogramSnapshot
 from repro.sim.clock import SimClock
 
-__all__ = ["EventLoop", "Station"]
+__all__ = ["EventLoop", "Station", "fold_depths"]
+
+
+def fold_depths(hist: Histogram, tally: Iterable[tuple[int, int]]) -> None:
+    """Fold ``(length, arrivals)`` tally pairs into ``hist``, a histogram
+    of queue lengths.
+
+    ``tally`` must list each queue length once, in the order the lengths
+    were first seen.  The result is bit-for-bit that of observing every
+    sample as it arrived: count, zeros and extrema are exact, buckets
+    appear in first-seen order, and the total is exact because sums of
+    integers below 2**53 are exact in floating point.
+    """
+    count = zeros = total = 0
+    lo = hi = -1
+    buckets: dict[int, int] = {}
+    for q, n in tally:
+        count += n
+        total += q * n
+        if lo < 0 or q < lo:
+            lo = q
+        if q > hi:
+            hi = q
+        if q:
+            e = q.bit_length()  # == math.frexp(float(q))[1]
+            buckets[e] = buckets.get(e, 0) + n
+        else:
+            zeros += n
+    if count:
+        hist.absorb(HistogramSnapshot(
+            count=count, total=float(total), zeros=zeros, buckets=buckets,
+            minimum=float(lo), maximum=float(hi),
+        ))
 
 
 class EventLoop:
@@ -65,23 +99,28 @@ class EventLoop:
 
     ``arrival_dt`` is relative to the *previous* event of the same source
     (an inter-arrival gap), so independent sources interleave naturally.
+
+    The heap holds one ``(when, seq, source_id, op)`` entry per live
+    source.  ``seq`` comes from one monotone counter, so ``(when, seq)``
+    keys are unique: ties break by scheduling order and the op is never
+    compared.  A source's next event is drawn only after its previous one
+    has been dispatched, straight into the dispatched entry's heap slot
+    (``heapreplace``), so a generator may publish per-event side state
+    (e.g. :attr:`repro.workloads.service.ServiceWorkload.pending_stream`)
+    that handlers read while their event is being dispatched.
     """
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        # Heap entries are (when, seq, source_id); the op itself lives in
-        # self._pending so heapq never compares ops.  seq is a global
-        # monotone counter: deterministic tie-break, and no two entries
-        # ever compare beyond it.
-        self._heap: list[tuple[float, int, int]] = []
-        self._pending: dict[int, Any] = {}
-        self._sources: dict[int, tuple[Iterator[tuple[float, Any]], Callable[[float, Any], None]]] = {}
-        self._seq = 0
+        self._heap: list[tuple[float, int, int, Any]] = []
+        #: Per source id: (the iterator's ``__next__``, the handler).
+        self._sources: list[tuple[Callable[[], tuple[float, Any]], Callable[[float, Any], None]]] = []
+        self._seq = itertools.count()
         self.processed = 0
         #: Optional telemetry hook ``probe(now, op)``, called for every
         #: dispatched event before its handler.  Observe-only: must not
         #: touch the op or the simulation.  None (the default) costs one
-        #: attribute load per event.
+        #: branch per event.
         self.probe: Callable[[float, Any], None] | None = None
 
     def __len__(self) -> int:
@@ -101,21 +140,15 @@ class EventLoop:
         retires its source.
         """
         sid = len(self._sources)
-        self._sources[sid] = (events, on_event)
-        self._schedule_next(sid, self.clock.now)
-
-    def _schedule_next(self, sid: int, after: float) -> None:
-        events, _ = self._sources[sid]
+        draw = events.__next__
+        self._sources.append((draw, on_event))
         try:
-            dt, op = next(events)
+            dt, op = draw()
         except StopIteration:
-            del self._sources[sid]
             return
         if dt < 0.0:
             raise ConfigError(f"negative inter-arrival time from source {sid}: {dt}")
-        self._pending[sid] = op
-        heapq.heappush(self._heap, (after + dt, self._seq, sid))
-        self._seq += 1
+        heapq.heappush(self._heap, (self.clock.now + dt, next(self._seq), sid, op))
 
     def run(self, until: float | None = None) -> int:
         """Drain events in time order; returns how many were processed.
@@ -125,24 +158,34 @@ class EventLoop:
         ``until``).  Without it, runs until every source is exhausted —
         only sensible for finite sources.
         """
-        processed = 0
         heap = self._heap
+        sources = self._sources
         probe = self.probe
+        clock = self.clock
+        seq = self._seq
+        limit = math.inf if until is None else until
+        heapreplace = heapq.heapreplace
+        processed = 0
         while heap:
-            when, _, sid = heap[0]
-            if until is not None and when > until:
+            when, _, sid, op = heap[0]
+            if when > limit:
                 break
-            heapq.heappop(heap)
-            op = self._pending.pop(sid)
-            self.clock.advance_to(when)
+            clock.advance_to(when)
             if probe is not None:
                 probe(when, op)
-            _, on_event = self._sources[sid]
+            draw, on_event = sources[sid]
             on_event(when, op)
-            self._schedule_next(sid, when)
             processed += 1
+            try:
+                dt, op = draw()
+            except StopIteration:
+                heapq.heappop(heap)
+                continue
+            if dt < 0.0:
+                raise ConfigError(f"negative inter-arrival time from source {sid}: {dt}")
+            heapreplace(heap, (when + dt, next(seq), sid, op))
         if until is not None:
-            self.clock.advance_to(until)
+            clock.advance_to(until)
         self.processed += processed
         return processed
 
@@ -169,9 +212,8 @@ class Station:
     """
 
     __slots__ = (
-        "name", "depth", "_execute", "latency", "queue_depth",
-        "offered", "started", "dropped", "completed", "busy_s", "free_at",
-        "_inflight", "probe",
+        "name", "depth", "_execute", "latency", "_queue_depth", "_depths",
+        "started", "dropped", "busy_s", "free_at", "_inflight", "probe",
     )
 
     def __init__(self, name: str, execute: Callable[[Any], float], depth: int) -> None:
@@ -182,12 +224,12 @@ class Station:
         self._execute = execute
         #: Sojourn time (queueing + service) of every completed-or-started op.
         self.latency = Histogram()
-        #: Queue length each arrival found ahead of it (drops included).
-        self.queue_depth = Histogram()
-        self.offered = 0
+        self._queue_depth = Histogram()
+        #: Arrivals per observed queue length, folded into ``queue_depth``
+        #: when it is read.
+        self._depths = [0] * (depth + 1)
         self.started = 0
         self.dropped = 0
-        self.completed = 0
         self.busy_s = 0.0
         self.free_at = 0.0
         self._inflight: deque[float] = deque()
@@ -198,16 +240,39 @@ class Station:
         #: Observe-only; None (the default) costs one branch per arrival.
         self.probe: Callable[[float, Any, int, float | None, float], None] | None = None
 
+    @property
+    def offered(self) -> int:
+        """Arrivals seen: every one was either started or dropped."""
+        return self.started + self.dropped
+
+    @property
+    def completed(self) -> int:
+        """Started operations retired so far (reaped or drained)."""
+        return self.started - len(self._inflight)
+
+    @property
+    def queue_depth(self) -> Histogram:
+        """Queue length each arrival found ahead of it (drops included).
+
+        Arrivals tally queue lengths in a ``depth + 1`` list; reading the
+        histogram folds the tally in (:func:`fold_depths`).  A station's
+        queue grows by at most one between arrivals, so lengths first
+        appear in increasing order — the order the fold walks the list.
+        """
+        tally = self._depths
+        if any(tally):
+            fold_depths(self._queue_depth, ((q, n) for q, n in enumerate(tally) if n))
+            self._depths = [0] * len(tally)
+        return self._queue_depth
+
     def offer(self, now: float, op: Any) -> float | None:
         """One arrival at time ``now``; returns its completion time, or
         ``None`` if the bounded queue rejected it."""
         inflight = self._inflight
         while inflight and inflight[0] <= now:
             inflight.popleft()
-            self.completed += 1
-        self.offered += 1
         q = len(inflight)
-        self.queue_depth.observe(float(q))
+        self._depths[q] += 1
         if q >= self.depth:
             self.dropped += 1
             if self.probe is not None:
@@ -231,7 +296,6 @@ class Station:
         """Retire everything still in flight; returns the last completion
         time (or 0.0 if the station never started an operation)."""
         last = self._inflight[-1] if self._inflight else 0.0
-        self.completed += len(self._inflight)
         self._inflight.clear()
         return last
 

@@ -14,7 +14,7 @@ standard reductions:
   is one Poisson(N×rate) process whose arrivals are attributed to a
   uniformly random stream.  One generator per operation kind therefore
   represents *all* streams in O(1) memory; per-stream identity survives in
-  the attribution draw and in a numpy op-count array (8 bytes/stream —
+  the attribution draw and in a seen-flag ``bytearray`` (1 byte/stream —
   the only per-stream state in the whole pipeline).
 - **Region folding.**  Stream ``s`` writes into region ``s % REGIONS`` of
   one shared file, and the region index doubles as the allocator-visible
@@ -31,16 +31,15 @@ batch wall time for data, MDS timeline delta for metadata.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.meta.mds import MetadataServer
 from repro.obs.timeseries import TimeSeries, TimeSeriesSnapshot
 from repro.rng import derive_rng
+from repro.sim.events import fold_depths
 from repro.units import KiB
 from repro.workloads.base import Event, MetaOp, Op, ReadOp, WriteOp
 
@@ -176,7 +175,15 @@ class ServiceSpec:
 
 
 class ServiceWorkload:
-    """Lazy event sources plus station executors over one plane + MDS."""
+    """Lazy event sources plus station executors over one plane + MDS.
+
+    :meth:`events` returns one infinite generator per op kind.  Each is a
+    specialised loop — RNG methods bound locally, region cursors in a
+    plain list, the op built inline — so an arrival costs its RNG draws
+    and a handful of bytecodes.  The draws per arrival, in order: write
+    ``exponential``, ``integers(streams)``; read the same plus
+    ``integers(REGION_SLOTS)``; meta the same plus ``random()``.
+    """
 
     KINDS = ("write", "read", "meta")
 
@@ -187,12 +194,15 @@ class ServiceWorkload:
         self.regions = min(spec.streams, REGIONS)
         self.region_bytes = REGION_SLOTS * spec.request_bytes
         #: Write cursor per region (slot index, wraps at REGION_SLOTS).
-        self._cursors = np.zeros(self.regions, dtype=np.int64)
-        #: Operations attributed to each *real* stream — the only O(streams)
-        #: state; 8 bytes per stream.
-        self.ops_per_stream = np.zeros(spec.streams, dtype=np.int64)
+        self._cursors = [0] * self.regions
+        #: Whether each *real* stream has issued an op — the only
+        #: O(streams) state; 1 byte per stream.
+        self._seen = bytearray(spec.streams)
         self.file = None
         self._pool: list[tuple[object, str]] = []  # (dir handle, file name)
+        #: Per pool entry, its (stat, utime) ops; ops are immutable, so
+        #: arrivals share them.
+        self._meta_ops: list[tuple[MetaOp, MetaOp]] = []
         #: Stream id of each kind's *pending* event.  The loop holds exactly
         #: one pending event per source and generates a source's next event
         #: only after dispatching its previous one, so during dispatch this
@@ -213,6 +223,9 @@ class ServiceWorkload:
                 name = f"f{j}"
                 self.mds.create(dirh, name)
                 self._pool.append((dirh, name))
+        self._meta_ops = [
+            (MetaOp("stat", entry), MetaOp("utime", entry)) for entry in self._pool
+        ]
 
     # -- lazy event sources -------------------------------------------------
     def events(self, kind: str) -> Iterator[Event]:
@@ -221,41 +234,69 @@ class ServiceWorkload:
         Yields ``(arrival_dt, op)`` with exponential inter-arrivals at the
         kind's aggregate rate; each arrival is attributed to a uniform
         stream.  O(1) memory — nothing per event is retained beyond the
-        region cursors and the per-stream op counter.
+        region cursors and the per-stream seen flags.
         """
+        loop = {"write": self._writes, "read": self._reads, "meta": self._metas}[kind]
         lam = self.spec.kind_rate(kind)
         if lam <= 0.0:
-            return
-        rng = derive_rng(self.spec.seed, "service", kind)
-        scale = 1.0 / lam
-        build = {"write": self._write_op, "read": self._read_op, "meta": self._meta_op}[kind]
+            return iter(())
+        return loop(derive_rng(self.spec.seed, "service", kind), 1.0 / lam)
+
+    def _writes(self, rng, scale: float) -> Iterator[Event]:
+        exponential = rng.exponential
+        integers = rng.integers
         streams = self.spec.streams
-        counts = self.ops_per_stream
+        seen = self._seen
         pending = self.pending_stream
+        regions = self.regions
+        cursors = self._cursors
+        file = self.file
+        nbytes = self.spec.request_bytes
+        region_bytes = self.region_bytes
         while True:
-            dt = float(rng.exponential(scale))
-            s = int(rng.integers(streams))
-            counts[s] += 1
-            pending[kind] = s
-            yield dt, build(s, rng)
+            dt = exponential(scale)
+            s = int(integers(streams))
+            seen[s] = 1
+            pending["write"] = s
+            region = s % regions
+            slot = cursors[region]
+            cursors[region] = (slot + 1) % REGION_SLOTS
+            yield dt, WriteOp(file, region * region_bytes + slot * nbytes, nbytes)
 
-    def _write_op(self, s: int, rng) -> Op:
-        region = s % self.regions
-        slot = int(self._cursors[region])
-        self._cursors[region] = (slot + 1) % REGION_SLOTS
-        offset = region * self.region_bytes + slot * self.spec.request_bytes
-        return WriteOp(self.file, offset, self.spec.request_bytes)
+    def _reads(self, rng, scale: float) -> Iterator[Event]:
+        exponential = rng.exponential
+        integers = rng.integers
+        streams = self.spec.streams
+        seen = self._seen
+        pending = self.pending_stream
+        regions = self.regions
+        file = self.file
+        nbytes = self.spec.request_bytes
+        region_bytes = self.region_bytes
+        while True:
+            dt = exponential(scale)
+            s = int(integers(streams))
+            seen[s] = 1
+            pending["read"] = s
+            slot = int(integers(REGION_SLOTS))
+            yield dt, ReadOp(file, s % regions * region_bytes + slot * nbytes, nbytes)
 
-    def _read_op(self, s: int, rng) -> Op:
-        region = s % self.regions
-        slot = int(rng.integers(REGION_SLOTS))
-        offset = region * self.region_bytes + slot * self.spec.request_bytes
-        return ReadOp(self.file, offset, self.spec.request_bytes)
-
-    def _meta_op(self, s: int, rng) -> MetaOp:
-        dirh, name = self._pool[s % len(self._pool)]
-        method = "stat" if rng.random() < 0.5 else "utime"
-        return MetaOp(method, (dirh, name))
+    def _metas(self, rng, scale: float) -> Iterator[Event]:
+        exponential = rng.exponential
+        integers = rng.integers
+        random = rng.random
+        streams = self.spec.streams
+        seen = self._seen
+        pending = self.pending_stream
+        ops = self._meta_ops
+        npool = len(ops)
+        while True:
+            dt = exponential(scale)
+            s = int(integers(streams))
+            seen[s] = 1
+            pending["meta"] = s
+            stat, utime = ops[s % npool]
+            yield dt, stat if random() < 0.5 else utime
 
     # -- station executors (op → service time, simulated seconds) ----------
     def data_service(self, op: Op) -> float:
@@ -279,13 +320,10 @@ class ServiceWorkload:
         getattr(self.mds, op.method)(*op.args)
         return self.mds.elapsed_s - t0
 
-    def bytes_for(self, op: Op | MetaOp) -> int:
-        return op.nbytes if isinstance(op, (WriteOp, ReadOp)) else 0
-
     @property
     def active_streams(self) -> int:
         """How many distinct streams have issued at least one op."""
-        return int(np.count_nonzero(self.ops_per_stream))
+        return len(self._seen) - self._seen.count(0)
 
 
 def op_kind(op: Op | MetaOp) -> str:
@@ -302,7 +340,10 @@ class ServiceTelemetry:
     loop and :meth:`station_probe` to each station, and per-window signals
     accumulate into :attr:`series` with no other coupling — the stations
     never learn what is observing them, and with no telemetry attached
-    their per-arrival cost is a single ``None`` check.
+    their per-arrival cost is a single ``None`` check.  The station
+    probes tally queue depths per window and fold them into the frame
+    when the next window opens; read the frames through :meth:`snapshot`,
+    which folds the open one.
 
     Series emitted per station (and per ``station.kind`` for the mix
     breakdown): ``arrivals``/``drops``/``completions`` counters, a
@@ -338,6 +379,11 @@ class ServiceTelemetry:
         self._cache_counters = None
         self._cache_last: dict[str, int] = {}
         self._cache_window = -1
+        #: Window of the latest loop-probe arrival and its counters.
+        self._window = -1
+        self._counters: dict[str, int] = {}
+        #: Each station probe's flush of its open window's depth tally.
+        self._flushes: list[Callable[[], None]] = []
 
     def track_cache(self, metrics) -> None:
         """Start rolling the cache counters of ``metrics`` into windows."""
@@ -347,10 +393,10 @@ class ServiceTelemetry:
         }
         self._cache_window = 0
 
-    def _flush_cache(self, t: float) -> None:
-        """Attribute counter deltas since the last flush to window ``t``."""
+    def _flush_cache(self, window: int) -> None:
+        """Attribute counter deltas since the last flush to ``window``."""
         live = self._cache_counters
-        frame = self.series.frame(t)
+        frame = self.series.frame_at(window)
         counters = frame.counters
         last = self._cache_last
         hits = misses = used = issued = 0
@@ -376,25 +422,38 @@ class ServiceTelemetry:
             frame.sums["cache.prefetch_accuracy"] = min(1.0, used / issued) if issued else 1.0
 
     def loop_probe(self, now: float, op: Op | MetaOp) -> None:
-        series = self.series
-        series.incr(now, "arrivals")
-        if self._cache_counters is not None:
-            window = int(now / series.window_s)
-            if window != self._cache_window:
-                # Crossing into a new window: bill the deltas accumulated
-                # so far to the window just left.
-                self._flush_cache(self._cache_window * series.window_s)
-                self._cache_window = window
+        window = int(now / self.series.window_s)
+        if window != self._window:
+            self._enter(window)
+        counters = self._counters
+        counters["arrivals"] = counters.get("arrivals", 0) + 1
+
+    def _enter(self, window: int) -> None:
+        """The loop probe's first arrival in ``window``."""
+        if self._cache_counters is not None and window != self._cache_window:
+            # Crossing into a new window: bill the deltas accumulated
+            # so far to the window just left.
+            self._flush_cache(self._cache_window)
+            self._cache_window = window
+        self._window = window
+        self._counters = self.series.frame_at(window).counters
 
     def finish(self, t: float) -> None:
         """Flush any open cache-counter window at end of run."""
         if self._cache_counters is not None:
-            self._flush_cache(self._cache_window * self.series.window_s)
+            self._flush_cache(self._cache_window)
             self._cache_window = int(t / self.series.window_s)
 
     def station_probe(self, name: str):
-        """The ``Station.probe`` callback for station ``name``."""
+        """The ``Station.probe`` callback for station ``name``.
+
+        Queue depths accumulate per window in a ``{length: arrivals}``
+        tally, folded into the window's histogram when the next window
+        opens (and by :meth:`snapshot`), bit for bit (:func:`fold_depths`).
+        """
         series = self.series
+        frame_at = series.frame_at
+        window_s = series.window_s
         # Series names are interned up front: the probe runs once per
         # arrival, and at a million streams per-event string formatting
         # is the difference between ~10% and ~30% telemetry overhead.
@@ -405,9 +464,23 @@ class ServiceTelemetry:
         completions = f"{name}.completions"
         busy = f"{name}.busy_s"
         nbytes = f"{name}.bytes"
-        kind_arrivals = {k: f"{name}.{k}.arrivals" for k in ServiceWorkload.KINDS}
-        kind_drops = {k: f"{name}.{k}.drops" for k in ServiceWorkload.KINDS}
-        kind_latency = {k: f"{name}.{k}.latency_s" for k in ServiceWorkload.KINDS}
+        # Per kind: its arrivals, drops and latency series, and whether
+        # its ops move bytes.
+        by_kind = {
+            k: (f"{name}.{k}.arrivals", f"{name}.{k}.drops", f"{name}.{k}.latency_s",
+                k != "meta")
+            for k in ServiceWorkload.KINDS
+        }
+        by_type = {WriteOp: by_kind["write"], ReadOp: by_kind["read"], MetaOp: by_kind["meta"]}
+        # The open window, its frame and its queue-depth tally.
+        window = -1
+        frame = None
+        tally: dict[int, int] = {}
+
+        def flush() -> None:
+            if frame is not None:
+                fold_depths(frame.hist(queue_depth), tally.items())
+                tally.clear()
 
         def probe(
             now: float,
@@ -416,30 +489,38 @@ class ServiceTelemetry:
             done: float | None,
             service: float,
         ) -> None:
-            kind = op_kind(op)
-            frame = series.frame(now)
+            nonlocal window, frame
+            ka, kd, kl, moves = by_type.get(type(op)) or by_kind[op_kind(op)]
+            w = int(now / window_s)
+            if w != window:
+                flush()
+                window = w
+                frame = frame_at(w)
+                frame.hist(queue_depth)  # first, as per-sample recording
             counters = frame.counters
             counters[arrivals] = counters.get(arrivals, 0) + 1
-            ka = kind_arrivals[kind]
             counters[ka] = counters.get(ka, 0) + 1
-            frame.hist(queue_depth).observe(float(queued))
+            tally[queued] = tally.get(queued, 0) + 1
             if done is None:
                 counters[drops] = counters.get(drops, 0) + 1
-                kd = kind_drops[kind]
                 counters[kd] = counters.get(kd, 0) + 1
                 return
             sojourn = done - now
             frame.hist(latency).observe(sojourn)
-            frame.hist(kind_latency[kind]).observe(sojourn)
-            at_done = series.frame(done)
+            frame.hist(kl).observe(sojourn)
+            w = int(done / window_s)
+            at_done = frame if w == window else frame_at(w)
             dc = at_done.counters
             dc[completions] = dc.get(completions, 0) + 1
             sums = at_done.sums
             sums[busy] = sums.get(busy, 0.0) + service
-            if not isinstance(op, MetaOp):
+            if moves:
                 sums[nbytes] = sums.get(nbytes, 0.0) + float(op.nbytes)
 
+        self._flushes.append(flush)
         return probe
 
     def snapshot(self) -> TimeSeriesSnapshot:
+        for flush in self._flushes:
+            flush()
         return self.series.snapshot()

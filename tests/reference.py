@@ -19,19 +19,28 @@ code path, kept only so tests can compare the production path against it:
   execution, checkpoints and recovery over a :class:`ReferenceDisk`;
 - :func:`check_dataplane_reference` / :func:`check_mds_reference` — the
   dict-based single-threaded fsck walks the sharded checkers in
-  :mod:`repro.fs.verify` must match byte for byte.
+  :mod:`repro.fs.verify` must match byte for byte;
+- :class:`ReferenceEventLoop`, :class:`ReferenceStation` and
+  :class:`ReferenceServiceEvents` — the open-loop engine with one
+  scheduling call, one histogram observation per sample and one shared
+  generator loop per event (the production engine inlines scheduling,
+  tallies queue depths and runs one specialised loop per op kind).
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from collections.abc import Sequence
+
+import numpy as np
 
 from repro.config import DiskParams, FSConfig, SchedulerParams
 from repro.disk.array import DiskArray
 from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
-from repro.errors import ReproError, SimulationError
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
@@ -40,8 +49,13 @@ from repro.meta.embedded_layout import EmbeddedLayout
 from repro.meta.layout import AccessPlan
 from repro.meta.mds import MetadataServer
 from repro.meta.normal_layout import NormalLayout
+from repro.obs.histogram import Histogram
 from repro.obs.trace import NullTracer, Tracer
+from repro.rng import derive_rng
+from repro.sim.clock import SimClock
 from repro.sim.metrics import Metrics
+from repro.workloads.base import MetaOp, ReadOp, WriteOp
+from repro.workloads.service import REGION_SLOTS
 
 # ---------------------------------------------------------------------------
 # Disk
@@ -533,3 +547,180 @@ def _check_normal(layout: NormalLayout, report: FsckReport) -> None:
                 report.error(f"dir {d.ino}: entry {name!r} in unknown dentry block",
                     code="entry-unknown-dentry-block",
                 )
+
+
+# ---------------------------------------------------------------------------
+# Open-loop event engine
+# ---------------------------------------------------------------------------
+
+
+class ReferenceEventLoop:
+    """The per-event loop: pop, dispatch, draw the next event, push.
+
+    Heap entries are ``(when, seq, source_id)`` with the op parked in a
+    dict beside the heap; every event goes through one scheduling call.
+    """
+
+    def __init__(self, clock=None) -> None:
+        self.clock = clock if clock is not None else SimClock()
+        self._heap: list = []
+        self._pending: dict = {}
+        self._sources: dict = {}
+        self._seq = 0
+        self.processed = 0
+        self.probe = None
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def add_source(self, events, on_event) -> None:
+        sid = len(self._sources)
+        self._sources[sid] = (events, on_event)
+        self._schedule_next(sid, self.clock.now)
+
+    def _schedule_next(self, sid: int, after: float) -> None:
+        events, _ = self._sources[sid]
+        try:
+            dt, op = next(events)
+        except StopIteration:
+            del self._sources[sid]
+            return
+        if dt < 0.0:
+            raise ConfigError(f"negative inter-arrival time from source {sid}: {dt}")
+        self._pending[sid] = op
+        heapq.heappush(self._heap, (after + dt, self._seq, sid))
+        self._seq += 1
+
+    def run(self, until: float | None = None) -> int:
+        processed = 0
+        heap = self._heap
+        probe = self.probe
+        while heap:
+            when, _, sid = heap[0]
+            if until is not None and when > until:
+                break
+            heapq.heappop(heap)
+            op = self._pending.pop(sid)
+            self.clock.advance_to(when)
+            if probe is not None:
+                probe(when, op)
+            _, on_event = self._sources[sid]
+            on_event(when, op)
+            self._schedule_next(sid, when)
+            processed += 1
+        if until is not None:
+            self.clock.advance_to(until)
+        self.processed += processed
+        return processed
+
+
+class ReferenceStation:
+    """The per-arrival station: every counter kept eagerly, every
+    queue-depth and sojourn sample observed into its histogram on the
+    spot."""
+
+    def __init__(self, name: str, execute, depth: int) -> None:
+        if depth < 1:
+            raise ConfigError(f"station queue depth must be >= 1: {depth}")
+        self.name = name
+        self.depth = depth
+        self._execute = execute
+        self.latency = Histogram()
+        self.queue_depth = Histogram()
+        self.offered = 0
+        self.started = 0
+        self.dropped = 0
+        self.completed = 0
+        self.busy_s = 0.0
+        self.free_at = 0.0
+        self._inflight: deque[float] = deque()
+        self.probe = None
+
+    def offer(self, now: float, op):
+        inflight = self._inflight
+        while inflight and inflight[0] <= now:
+            inflight.popleft()
+            self.completed += 1
+        self.offered += 1
+        q = len(inflight)
+        self.queue_depth.observe(float(q))
+        if q >= self.depth:
+            self.dropped += 1
+            if self.probe is not None:
+                self.probe(now, op, q, None, 0.0)
+            return None
+        service = self._execute(op)
+        if service < 0.0:
+            raise ConfigError(f"negative service time at station {self.name}: {service}")
+        start = now if now > self.free_at else self.free_at
+        done = start + service
+        self.free_at = done
+        self.busy_s += service
+        inflight.append(done)
+        self.latency.observe(done - now)
+        self.started += 1
+        if self.probe is not None:
+            self.probe(now, op, q, done, service)
+        return done
+
+    def drain(self) -> float:
+        last = self._inflight[-1] if self._inflight else 0.0
+        self.completed += len(self._inflight)
+        self._inflight.clear()
+        return last
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._inflight)
+
+
+class ReferenceServiceEvents:
+    """The superposed-Poisson generators over a set-up service workload:
+    one shared loop for every kind, an op builder call per event, and an
+    8-byte numpy op counter per stream."""
+
+    def __init__(self, wl) -> None:
+        self.wl = wl
+        self._cursors = np.zeros(wl.regions, dtype=np.int64)
+        self.ops_per_stream = np.zeros(wl.spec.streams, dtype=np.int64)
+        self.pending_stream: dict[str, int] = {}
+
+    def events(self, kind: str):
+        spec = self.wl.spec
+        lam = spec.kind_rate(kind)
+        if lam <= 0.0:
+            return
+        rng = derive_rng(spec.seed, "service", kind)
+        scale = 1.0 / lam
+        build = {"write": self._write_op, "read": self._read_op, "meta": self._meta_op}[kind]
+        counts = self.ops_per_stream
+        while True:
+            dt = float(rng.exponential(scale))
+            s = int(rng.integers(spec.streams))
+            counts[s] += 1
+            self.pending_stream[kind] = s
+            yield dt, build(s, rng)
+
+    def _write_op(self, s: int, rng):
+        wl = self.wl
+        region = s % wl.regions
+        slot = int(self._cursors[region])
+        self._cursors[region] = (slot + 1) % REGION_SLOTS
+        offset = region * wl.region_bytes + slot * wl.spec.request_bytes
+        return WriteOp(wl.file, offset, wl.spec.request_bytes)
+
+    def _read_op(self, s: int, rng):
+        wl = self.wl
+        region = s % wl.regions
+        slot = int(rng.integers(REGION_SLOTS))
+        offset = region * wl.region_bytes + slot * wl.spec.request_bytes
+        return ReadOp(wl.file, offset, wl.spec.request_bytes)
+
+    def _meta_op(self, s: int, rng):
+        dirh, name = self.wl._pool[s % len(self.wl._pool)]
+        method = "stat" if rng.random() < 0.5 else "utime"
+        return MetaOp(method, (dirh, name))
+
+    @property
+    def active_streams(self) -> int:
+        return int(np.count_nonzero(self.ops_per_stream))

@@ -34,6 +34,7 @@ from repro.workloads.base import (
 )
 from repro.workloads.service import (
     ServiceSpec,
+    ServiceTelemetry,
     ServiceWorkload,
     resolve_duration,
     resolve_rate,
@@ -315,7 +316,7 @@ class TestServiceRunner:
     def test_million_streams_bounded_memory(self):
         """A 1M-stream open-loop run completes without materializing
         per-stream op lists: peak traced allocation stays within a few
-        tens of MB (the per-stream counter array is 8 MB)."""
+        tens of MB (the per-stream seen flags take 1 MB)."""
         tracemalloc.start()
         try:
             r = run("service", streams=1_000_000, rate=0.005,
@@ -399,6 +400,38 @@ class TestServiceTelemetry:
         assert bare.fingerprint == observed.fingerprint
         assert bare.phases == observed.phases
         assert bare.payload.cells[0].stations == observed.payload.cells[0].stations
+
+    def test_cache_deltas_land_in_their_own_window(self):
+        """Window 29's cache deltas are billed to frame 29: at a 0.04 s
+        window, ``29 * 0.04 / 0.04`` is 28.999…, so mapping the flush back
+        through a timestamp put them in frame 28 and overwrote its
+        ``cache.hit_rate``."""
+
+        class FakeMetrics:
+            def __init__(self):
+                self.counters = {}
+
+            def raw_counters(self):
+                return self.counters
+
+        window_s = 0.04
+        metrics = FakeMetrics()
+        telem = ServiceTelemetry(window_s)
+        telem.track_cache(metrics)
+        live = metrics.counters
+        per_window = {28: (3, 1), 29: (5, 0), 30: (1, 3)}  # (hits, misses)
+        for window, (hits, misses) in per_window.items():
+            telem.loop_probe((window + 0.5) * window_s, None)
+            live["cache.hits"] = live.get("cache.hits", 0) + hits
+            live["cache.misses"] = live.get("cache.misses", 0) + misses
+        telem.finish(31 * window_s)
+        frames = telem.snapshot().frames
+        for window, (hits, misses) in per_window.items():
+            frame = frames[window]
+            assert frame.count("cache.hits") == hits
+            assert frame.count("cache.misses") == misses
+            assert frame.total("cache.hit_rate") == hits / (hits + misses)
+            assert frame.count("arrivals") == 1
 
     def test_determinism_across_jobs_and_repeats(self):
         kw = dict(streams=200, rates=("small", "medium"), duration="short",
