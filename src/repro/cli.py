@@ -264,31 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench_compare)
 
     p = sub.add_parser(
-        "perf",
-        help="wall-clock harnesses: cache profiles (--cache) or serial vs "
-        "sharded fsck (--fsck)",
-    )
-    p.add_argument("--scale", type=_scale, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_jobs(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--cache", action="store_true",
-        help="measure the cache-pressure sweep: legacy LRU vs the "
-        "adaptive tiered cache profile, wall clock + hit-rate delta "
-        "(exit 1 unless a scenario clears the acceptance thresholds)",
-    )
-    mode.add_argument(
-        "--fsck", action="store_true",
-        help="measure the consistency checker: serial vs sharded "
-        "check+repair of a corrupted image (exit 1 unless the reports "
-        "are byte-identical)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the timing report as JSON to PATH")
-    p.set_defaults(func=cmd_perf)
-
-    p = sub.add_parser(
         "microbench", help="one-off shared-file run with a layout map"
     )
     p.add_argument("--policy", default="ondemand",
@@ -649,69 +624,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    from repro.bench.perf import measure_cache, measure_fsck, save_report
-
-    if args.fsck:
-        report = measure_fsck(scale=args.scale, seed=args.seed, jobs=args.jobs)
-        table = Table(
-            f"Fsck strategies — crashed image at scale {report.image_scale:g} "
-            f"({report.extents} extents, {report.inodes} inodes, "
-            f"jobs={report.jobs})",
-            ["phase", "serial (s)", f"{report.jobs} workers (s)", "speedup"],
-        )
-        table.add_row([
-            "check", f"{report.serial_check_s:.3f}",
-            f"{report.parallel_check_s:.3f}", f"{report.check_speedup:.2f}x",
-        ])
-        table.add_row([
-            "repair", f"{report.serial_repair_s:.3f}",
-            f"{report.parallel_repair_s:.3f}", f"{report.repair_speedup:.2f}x",
-        ])
-        table.print()
-        print()
-        print(f"findings: {report.findings}, repair actions: {report.actions}, "
-              f"converged: {report.converged}")
-        if report.identical:
-            print(f"serial and sharded runs rendered identical documents "
-                  f"(fingerprint {report.fingerprint})")
-        else:
-            print("MISMATCH: serial and sharded fsck rendered different documents")
-        if args.out:
-            save_report(report, args.out)
-            print(f"wrote timing report to {args.out}")
-        return 0 if report.identical else 1
-    report = measure_cache(scale=args.scale, seed=args.seed, jobs=args.jobs)
-    table = Table(
-        f"Cache profiles — {report.runner} sweep "
-        f"(scale={report.scale}, jobs={report.jobs})",
-        ["scenario", "legacy sim (s)", "adaptive sim (s)", "sim speedup",
-         "hit rate Δ (pts)", "prefetch acc"],
-    )
-    for s in sorted(report.legacy_elapsed_s):
-        table.add_row([
-            s,
-            f"{report.legacy_elapsed_s[s]:.4f}",
-            f"{report.adaptive_elapsed_s[s]:.4f}",
-            f"{report.sim_speedup(s):.2f}x",
-            f"{report.hit_rate_gain(s):+.1f}",
-            f"{report.prefetch_accuracy[s]:.2f}",
-        ])
-    table.print()
-    print()
-    print(f"wall clock: legacy {report.legacy_wall_s:.2f}s, adaptive "
-          f"{report.adaptive_wall_s:.2f}s ({report.wall_speedup:.2f}x)")
-    if report.passed:
-        print("PASS: adaptive profile clears the acceptance thresholds "
-              "(>=1.3x sim speedup or >=20-point hit-rate gain per scenario)")
-    else:
-        print("FAIL: adaptive profile below the acceptance thresholds")
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote timing report to {args.out}")
-    return 0 if report.passed else 1
-
-
 def cmd_microbench(args) -> int:
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), args.policy)
     plane = DataPlane(cfg)
@@ -927,8 +839,7 @@ def print_fig_fsck(run_result, args) -> int:
     print()
     print(
         "check times are deterministic modeled costs (per-shard setup + "
-        "per-item check, LPT makespan over workers; docs/FSCK.md) — "
-        "wall-clock speedups come from `repro perf --fsck`"
+        "per-item check, LPT makespan over workers; docs/FSCK.md)"
     )
     return 0 if result.converged else 1
 

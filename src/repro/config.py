@@ -290,8 +290,8 @@ class FsckParams:
     """Modeled costs of the parallel checker (docs/FSCK.md).
 
     The ``fig_fsck`` benchmark reports *simulated* check/repair times so the
-    rendered document is byte-identical at any ``--jobs`` (real wall clock
-    lives in ``repro perf --fsck``).  A shard's modeled check time is
+    rendered document is byte-identical at any ``--jobs`` (host wall clock
+    is not modeled).  A shard's modeled check time is
     ``shard_setup_s`` plus ``check_extent_s`` (or ``check_inode_s``) per item
     it scans; shards are assigned to ``jobs`` workers longest-processing-time
     first and the modeled parallel elapsed is the worker makespan.  Repair

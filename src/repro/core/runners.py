@@ -1815,8 +1815,9 @@ class FsckRun:
 
     ``check_s`` maps a worker count to the *modeled* parallel check time
     (shard costs from :class:`~repro.config.FsckParams` scheduled LPT-first)
-    so the rendered document is byte-identical at any ``--jobs``; real
-    wall-clock speedups are measured by ``repro perf --fsck`` instead.
+    so the rendered document is byte-identical at any ``--jobs``.  That
+    the sharded checker renders the same findings and repairs at every
+    worker count is a tier-1 test (``tests/test_fsck_parallel.py``).
     """
 
     layout: str

@@ -7,7 +7,11 @@ one spindle — a physically contiguous global run is then contiguous on its
 disk, which is what makes contiguity matter.
 
 Each disk keeps its own busy-time timeline; a phase's elapsed time is the
-maximum over disks, modelling spindles that work in parallel.
+maximum over disks, modelling spindles that work in parallel.  A batch
+takes one of two paths by its size alone: a single request goes to its
+disk's scalar ``submit_one``, a larger batch is split per disk as parallel
+arrays.  An attached fault injector filters inside each disk and never
+picks the path.
 """
 
 from __future__ import annotations
@@ -52,11 +56,10 @@ class DiskArray:
         ]
         self.blocks_per_disk = disk_params.capacity_blocks
         #: Which submit path serviced each batch: the array path for
-        #: multi-request batches, the per-disk object path for
-        #: single-request batches and for any batch while a fault injector
-        #: is attached.  Kept off the Metrics bag on purpose — both paths
-        #: report *identical* metrics, while these counters exist to tell
-        #: them apart.
+        #: multi-request batches, a disk's scalar ``submit_one`` for
+        #: single-request ones.  Kept off the Metrics bag on purpose — both
+        #: paths report *identical* metrics, while these counters exist to
+        #: tell them apart.
         self.io_profile: dict[str, int] = {
             "batches_vectorized": 0,
             "batches_scalar": 0,
@@ -82,38 +85,28 @@ class DiskArray:
 
         Requests are split per disk and each disk services its share on its
         own timeline.  Returns the batch's wall time: the maximum per-disk
-        batch time (disks run in parallel).
+        batch time (disks run in parallel).  A single request goes to its
+        disk's :meth:`~repro.disk.disk.SimulatedDisk.submit_one`; a larger
+        batch is converted once into parallel numpy arrays, split per disk
+        with integer arithmetic and handed to each disk's
+        :meth:`~repro.disk.disk.SimulatedDisk.submit_arrays` in ascending
+        disk order — no per-request ``locate`` calls and no local
+        :class:`BlockRequest` copies.  Bounds and span checks fire before
+        any disk services work; an injected fault on one disk leaves the
+        disks after it unserviced.
         """
-        if not requests:
-            return 0.0
-        if len(requests) > 1 and all(d.injector is None for d in self.disks):
-            self.io_profile["batches_vectorized"] += 1
-            return self._submit_arrays(requests)
-        self.io_profile["batches_scalar"] += 1
-        per_disk: dict[int, list[BlockRequest]] = {}
-        for req in requests:
+        if len(requests) == 1:
+            self.io_profile["batches_scalar"] += 1
+            req = requests[0]
             disk_idx, local = self.locate(req.start)
             if local + req.nblocks > self.blocks_per_disk:
                 raise SimulationError(
                     f"request [{req.start}, {req.start + req.nblocks}) spans disks"
                 )
-            per_disk.setdefault(disk_idx, []).append(
-                BlockRequest(local, req.nblocks, req.is_write)
-            )
-        return max(
-            self.disks[idx].submit_batch(batch) for idx, batch in per_disk.items()
-        )
-
-    def _submit_arrays(self, requests: Sequence[BlockRequest]) -> float:
-        """Array path of :meth:`submit_batch`.
-
-        The batch is converted once into parallel numpy arrays, split per
-        disk with integer arithmetic, and handed to each disk's
-        :meth:`~repro.disk.disk.SimulatedDisk.submit_arrays` — no per-request
-        ``locate`` calls and no local :class:`BlockRequest` copies.  Bounds
-        and span checks match the object path and fire before any disk
-        services work.
-        """
+            return self.disks[disk_idx].submit_one(local, req.nblocks, req.is_write)
+        if not requests:
+            return 0.0
+        self.io_profile["batches_vectorized"] += 1
         n = len(requests)
         starts = np.fromiter((r.start for r in requests), dtype=np.int64, count=n)
         nblocks = np.fromiter((r.nblocks for r in requests), dtype=np.int64, count=n)

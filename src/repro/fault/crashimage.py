@@ -1,10 +1,9 @@
 """Deterministic crashed-image builder for the fsck benchmarks.
 
 The parallel-fsck work (docs/FSCK.md) needs the same damaged file system in
-three places — the ``fig_fsck`` runner's sweep cells, the
-``repro perf --fsck`` speedup harness and the ``fsck`` CLI verb — and the
-bench documents are byte-identity gated, so the image must be a pure
-function of ``(scale, seed, layout)``.  :func:`build_crashed_image`
+two places — the ``fig_fsck`` runner's sweep cells and the ``fsck`` CLI
+verb — and the bench documents are byte-identity gated, so the image must
+be a pure function of ``(scale, seed, layout)``.  :func:`build_crashed_image`
 populates a data plane and an MDS with a seeded workload, then hands both
 to the structural :class:`~repro.fault.corrupt.Corruptor`.  Every random
 choice comes from :func:`repro.rng.derive_rng` streams keyed by the seed.

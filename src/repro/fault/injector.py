@@ -1,8 +1,10 @@
 """The per-disk fault injector.
 
-Attached to a :class:`~repro.disk.disk.SimulatedDisk`, the injector sees
-every scheduler-arranged request just before it is serviced and applies the
-plan:
+Attached to a :class:`~repro.disk.disk.SimulatedDisk`, the injector is a
+filter on every scheduler-arranged batch, applied just before the batch is
+timed: it walks the requests in dispatch order, applies the plan, and
+tells the disk how many of them to service, how long each write really
+was, and which fault to raise once those are billed.  The plan:
 
 - **Crash points** fire once ``crash_after_requests`` requests have been
   serviced; the injector disarms itself so recovery code can run against
@@ -16,15 +18,14 @@ plan:
 
 from __future__ import annotations
 
-from repro.disk.model import BlockRequest
-from repro.errors import CrashError, LatentSectorError
+from repro.errors import CrashError, FaultError, LatentSectorError
 from repro.fault.plan import FaultPlan
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
 
 class FaultInjector:
-    """Applies one :class:`FaultPlan` beneath a disk's request loop."""
+    """Applies one :class:`FaultPlan` to the batches a disk services."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -79,61 +80,75 @@ class FaultInjector:
             self.metrics.incr(name, amount)
 
     # -- the hook ----------------------------------------------------------
-    def filter(self, req: BlockRequest) -> BlockRequest:
-        """Inspect one arranged request; returns the (possibly torn)
-        request to service, or raises the injected fault."""
+    def filter_batch(
+        self, starts: list[int], nblocks: list[int], is_write: list[bool]
+    ) -> tuple[list[int], FaultError | None]:
+        """Apply the plan to one arranged batch, in dispatch order.
+
+        Returns the (possibly torn) lengths of the leading requests to
+        service and the fault to raise once they are billed, or ``None``.
+        The requests are judged one by one, as the drive would meet them:
+        a read is checked against the bad sectors the batch's earlier
+        writes have already healed, a crash or a latent sector error cuts
+        the batch before the offending request, and that request counts
+        as seen only if it got past the crash point.
+        """
         if not self.armed:
-            return req
+            return nblocks, None
         crash_after = self.plan.crash_after_requests
-        if crash_after is not None and self.requests_seen >= crash_after:
-            self.crashes += 1
-            self.disarm()
-            self._incr("fault.crashes")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "fault", "crash", disk=self.disk_name, after=self.requests_seen
-                )
-            raise CrashError(
-                f"{self.disk_name}: injected crash after {self.requests_seen} requests"
-            )
-        self.requests_seen += 1
-        self._incr("fault.requests")
-
-        if not req.is_write:
-            bad = [b for b in range(req.start, req.end) if b in self._bad_blocks]
-            if bad:
-                self.lse_errors += 1
-                self._incr("fault.lse_errors")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "fault", "lse", disk=self.disk_name, block=bad[0]
+        torn_every = self.plan.torn_every
+        bad_blocks = self._bad_blocks
+        tracer = self.tracer
+        lengths: list[int] = []
+        for start, count, write in zip(starts, nblocks, is_write):
+            if crash_after is not None and self.requests_seen >= crash_after:
+                self.crashes += 1
+                self.disarm()
+                self._incr("fault.crashes")
+                if tracer.enabled:
+                    tracer.emit(
+                        "fault", "crash", disk=self.disk_name, after=self.requests_seen
                     )
-                raise LatentSectorError(
-                    f"{self.disk_name}: latent sector error at block {bad[0]}"
+                return lengths, CrashError(
+                    f"{self.disk_name}: injected crash after {self.requests_seen} requests"
                 )
-            return req
-
-        # Writes heal any bad sectors they overwrite (drive remap).
-        healed = self._bad_blocks.intersection(range(req.start, req.end))
-        if healed:
-            self._bad_blocks -= healed
-            self._incr("fault.lse_healed", len(healed))
-        if self.plan.torn_every > 0 and req.nblocks >= 2:
-            self._writes_seen += 1
-            if self._writes_seen % self.plan.torn_every == 0:
-                keep = max(1, req.nblocks // 2)
-                self.torn_writes += 1
-                self._incr("fault.torn_writes")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "fault",
-                        "torn_write",
-                        disk=self.disk_name,
-                        start=req.start,
-                        nblocks=req.nblocks,
-                        kept=keep,
+            self.requests_seen += 1
+            self._incr("fault.requests")
+            end = start + count
+            if not write:
+                bad = [b for b in range(start, end) if b in bad_blocks]
+                if bad:
+                    self.lse_errors += 1
+                    self._incr("fault.lse_errors")
+                    if tracer.enabled:
+                        tracer.emit("fault", "lse", disk=self.disk_name, block=bad[0])
+                    return lengths, LatentSectorError(
+                        f"{self.disk_name}: latent sector error at block {bad[0]}"
                     )
-                self.written.update(range(req.start, req.start + keep))
-                return BlockRequest(req.start, keep, is_write=True)
-        self.written.update(range(req.start, req.end))
-        return req
+                lengths.append(count)
+                continue
+            # Writes heal any bad sectors they overwrite (drive remap).
+            healed = bad_blocks.intersection(range(start, end))
+            if healed:
+                bad_blocks.difference_update(healed)
+                self._incr("fault.lse_healed", len(healed))
+            if torn_every > 0 and count >= 2:
+                self._writes_seen += 1
+                if self._writes_seen % torn_every == 0:
+                    keep = max(1, count // 2)
+                    self.torn_writes += 1
+                    self._incr("fault.torn_writes")
+                    if tracer.enabled:
+                        tracer.emit(
+                            "fault",
+                            "torn_write",
+                            disk=self.disk_name,
+                            start=start,
+                            nblocks=count,
+                            kept=keep,
+                        )
+                    end = start + keep
+                    count = keep
+            self.written.update(range(start, end))
+            lengths.append(count)
+        return lengths, None

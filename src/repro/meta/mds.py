@@ -19,7 +19,6 @@ import numpy as np
 from repro.config import FSConfig
 from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
-from repro.disk.model import BlockRequest
 from repro.errors import ConfigError
 from repro.meta.embedded_layout import EmbeddedLayout
 from repro.meta.inode import Inode
@@ -182,34 +181,19 @@ class MetadataServer:
             self.journal.truncate()  # nothing dirty: no record needs replay
             return 0
         blocks = sorted(self._dirty)
-        disk = self.disk
-        if (
-            len(blocks) > 1
-            and disk.injector is None
-            and 0 <= blocks[0]
-            and blocks[-1] < disk.capacity_blocks
-        ):
+        flushed = len(blocks)
+        if flushed == 1:
+            self.disk.submit_one(blocks[0], 1, True)
+        else:
             # The sorted dirty set goes down as parallel arrays — no
             # BlockRequest objects — and the scheduler coalesces adjacent
             # blocks into runs exactly as it arranges per-block requests.
-            # Completion bulk-inserts into the cache.  A lone block, an
-            # attached fault injector or an out-of-range block takes the
-            # object path (scalar kernel, per-request faults, the disk's
-            # capacity error).
-            n = len(blocks)
-            starts = np.fromiter(blocks, dtype=np.int64, count=n)
-            disk.submit_arrays(
-                starts,
-                np.ones(n, dtype=np.int64),
-                np.ones(n, dtype=bool),
+            self.disk.submit_arrays(
+                np.fromiter(blocks, dtype=np.int64, count=flushed),
+                np.ones(flushed, dtype=np.int64),
+                np.ones(flushed, dtype=bool),
             )
-            self.cache.insert_blocks(blocks)
-        else:
-            requests = [BlockRequest(b, 1, is_write=True) for b in blocks]
-            disk.submit_batch(requests)
-            for b in blocks:
-                self.cache._insert(b, 1)
-        flushed = len(blocks)
+        self.cache.insert_blocks(blocks)
         self._dirty.clear()
         self._ops_since_ckpt = 0
         self.journal.truncate()  # checkpointed state needs no replay

@@ -135,15 +135,12 @@ class Histogram:
             self._min = lo
         if self._max is None or hi > self._max:
             self._max = hi
-        zeros = samples.count(0)
-        self._zeros += zeros
+        self._zeros += samples.count(0)
         buckets = self._buckets
-        for e, c in Counter(map(_exponent, map(math.frexp, samples))).items():
-            if e == 0 and zeros:
-                # frexp(0.0) is (0.0, 0): zeros are not bucket-0 samples.
-                c -= zeros
-                if not c:
-                    continue
+        # frexp(0.0) is (0.0, 0), the exponent of [0.5, 1) too: zeros are
+        # left out, or bucket 0 would appear at the first zero's position.
+        nonzero = filter(None, samples)
+        for e, c in Counter(map(_exponent, map(math.frexp, nonzero))).items():
             buckets[e] = buckets.get(e, 0) + c
 
     def absorb(self, snap: "HistogramSnapshot") -> None:

@@ -3,9 +3,11 @@
 Each class or function here is the plain scalar form of one production
 code path, kept only so tests can compare the production path against it:
 
-- :class:`ReferenceDisk` — the per-request service loop for every batch
-  (the production disk times batches of two or more with its numpy array
-  kernel);
+- :class:`ReferenceDisk` — the per-request service loop for every
+  submission, with an attached fault injector applied one request at a
+  time by :func:`filter_request` (the production disk times one request
+  with its scalar kernel and two or more with its numpy array kernel, and
+  its injector filters a whole arranged batch at once);
 - :class:`ReferenceDiskArray` — every batch split per disk through
   :class:`~repro.disk.model.BlockRequest` objects (the production array
   converts multi-request batches to parallel arrays once);
@@ -40,7 +42,14 @@ from repro.disk.array import DiskArray
 from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
-from repro.errors import ConfigError, ReproError, SimulationError
+from repro.errors import (
+    ConfigError,
+    CrashError,
+    LatentSectorError,
+    ReproError,
+    SimulationError,
+)
+from repro.fault import FaultInjector
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
@@ -62,52 +71,136 @@ from repro.workloads.service import REGION_SLOTS
 # ---------------------------------------------------------------------------
 
 
-class ReferenceDisk(SimulatedDisk):
-    """A disk whose every batch takes the per-request service loop."""
+def filter_request(injector: FaultInjector, req: BlockRequest) -> BlockRequest:
+    """Apply ``injector``'s plan to one arranged request: returns the
+    (possibly torn) request to service, or raises the injected fault."""
+    if not injector.armed:
+        return req
+    crash_after = injector.plan.crash_after_requests
+    if crash_after is not None and injector.requests_seen >= crash_after:
+        injector.crashes += 1
+        injector.disarm()
+        injector._incr("fault.crashes")
+        if injector.tracer.enabled:
+            injector.tracer.emit(
+                "fault", "crash", disk=injector.disk_name, after=injector.requests_seen
+            )
+        raise CrashError(
+            f"{injector.disk_name}: injected crash after {injector.requests_seen} requests"
+        )
+    injector.requests_seen += 1
+    injector._incr("fault.requests")
 
-    def _service(self, arranged: Sequence[BlockRequest]) -> float:
-        tracer = self.tracer
-        total = 0.0
-        self._partial_s = 0.0
-        for req in arranged:
-            if self.injector is not None:
-                req = self.injector.filter(req)
-            positioning = self.model.positioning_time(self._head, req.start)
-            transfer = self.model.transfer_time(req.nblocks)
-            if tracer.enabled:
-                tracer.emit(
-                    "disk",
-                    "write" if req.is_write else "read",
-                    t=self._busy_s + total,
-                    dur=positioning + transfer,
-                    disk=self.name,
+    if not req.is_write:
+        bad = [b for b in range(req.start, req.end) if b in injector._bad_blocks]
+        if bad:
+            injector.lse_errors += 1
+            injector._incr("fault.lse_errors")
+            if injector.tracer.enabled:
+                injector.tracer.emit("fault", "lse", disk=injector.disk_name, block=bad[0])
+            raise LatentSectorError(
+                f"{injector.disk_name}: latent sector error at block {bad[0]}"
+            )
+        return req
+
+    healed = injector._bad_blocks.intersection(range(req.start, req.end))
+    if healed:
+        injector._bad_blocks -= healed
+        injector._incr("fault.lse_healed", len(healed))
+    if injector.plan.torn_every > 0 and req.nblocks >= 2:
+        injector._writes_seen += 1
+        if injector._writes_seen % injector.plan.torn_every == 0:
+            keep = max(1, req.nblocks // 2)
+            injector.torn_writes += 1
+            injector._incr("fault.torn_writes")
+            if injector.tracer.enabled:
+                injector.tracer.emit(
+                    "fault",
+                    "torn_write",
+                    disk=injector.disk_name,
                     start=req.start,
                     nblocks=req.nblocks,
-                    seek_s=positioning,
-                    transfer_s=transfer,
+                    kept=keep,
                 )
-            total += positioning + transfer
-            self._partial_s = total
-            self._head = req.end
-            self.metrics.observe("disk.request_latency_s", positioning + transfer)
-            self.metrics.observe("disk.request_blocks", req.nblocks)
-            self.metrics.incr("disk.requests")
-            self.metrics.incr("disk.blocks", req.nblocks)
-            if positioning > 0.0:
-                self.metrics.incr("disk.positionings")
-            self.metrics.add("disk.positioning_s", positioning)
-            self.metrics.add("disk.transfer_s", transfer)
-            if req.is_write:
-                self.metrics.incr("disk.write_requests")
-                self.metrics.incr("disk.write_blocks", req.nblocks)
-            else:
-                self.metrics.incr("disk.read_requests")
-                self.metrics.incr("disk.read_blocks", req.nblocks)
+            injector.written.update(range(req.start, req.start + keep))
+            return BlockRequest(req.start, keep, is_write=True)
+    injector.written.update(range(req.start, req.end))
+    return req
+
+
+class ReferenceDisk(SimulatedDisk):
+    """A disk whose every submission — batch, array or single request —
+    takes the per-request service loop, with an attached injector applied
+    one request at a time by :func:`filter_request`."""
+
+    def submit_batch(self, requests: Sequence[BlockRequest]) -> float:
+        if not requests:
+            return 0.0
+        for req in requests:
+            if req.end > self.params.capacity_blocks:
+                raise SimulationError(
+                    f"{self.name}: request [{req.start}, {req.end}) beyond capacity "
+                    f"{self.params.capacity_blocks}"
+                )
+        header = self._charge_header()
+        return self._service(self.scheduler.arrange(requests)) + header
+
+    def submit_arrays(self, starts, nblocks, is_write) -> float:
+        return self.submit_batch([
+            BlockRequest(s, n, w)
+            for s, n, w in zip(starts.tolist(), nblocks.tolist(), is_write.tolist())
+        ])
+
+    def submit_one(self, start: int, nblocks: int, is_write: bool) -> float:
+        return self.submit_batch([BlockRequest(start, nblocks, is_write)])
+
+    def _service(self, arranged: Sequence[BlockRequest]) -> float:
+        """Time an arranged batch request by request; a fault still bills
+        the requests serviced before it."""
+        tracer = self.tracer
+        total = 0.0
+        try:
+            for req in arranged:
+                if self.injector is not None:
+                    req = filter_request(self.injector, req)
+                positioning = self.model.positioning_time(self._head, req.start)
+                transfer = self.model.transfer_time(req.nblocks)
+                if tracer.enabled:
+                    tracer.emit(
+                        "disk",
+                        "write" if req.is_write else "read",
+                        t=self._busy_s + total,
+                        dur=positioning + transfer,
+                        disk=self.name,
+                        start=req.start,
+                        nblocks=req.nblocks,
+                        seek_s=positioning,
+                        transfer_s=transfer,
+                    )
+                total += positioning + transfer
+                self._head = req.end
+                self.metrics.observe("disk.request_latency_s", positioning + transfer)
+                self.metrics.observe("disk.request_blocks", req.nblocks)
+                self.metrics.incr("disk.requests")
+                self.metrics.incr("disk.blocks", req.nblocks)
+                if positioning > 0.0:
+                    self.metrics.incr("disk.positionings")
+                self.metrics.add("disk.positioning_s", positioning)
+                self.metrics.add("disk.transfer_s", transfer)
+                if req.is_write:
+                    self.metrics.incr("disk.write_requests")
+                    self.metrics.incr("disk.write_blocks", req.nblocks)
+                else:
+                    self.metrics.incr("disk.read_requests")
+                    self.metrics.incr("disk.read_blocks", req.nblocks)
+        finally:
+            self._busy_s += total
         return total
 
 
 class ReferenceDiskArray(DiskArray):
-    """A disk array that splits every batch per disk as request objects.
+    """A disk array that splits every batch per disk as request objects,
+    submitted in ascending disk order as the production array does.
 
     With ``scalar=True`` its disks are :class:`ReferenceDisk` instances, so
     no numpy kernel runs anywhere beneath it.
@@ -147,7 +240,7 @@ class ReferenceDiskArray(DiskArray):
                 BlockRequest(local, req.nblocks, req.is_write)
             )
         return max(
-            self.disks[idx].submit_batch(batch) for idx, batch in per_disk.items()
+            self.disks[idx].submit_batch(per_disk[idx]) for idx in sorted(per_disk)
         )
 
 

@@ -4,14 +4,16 @@ A :class:`Histogram` fed through its pending appender must end in exactly
 the state of a twin fed by ``observe`` one sample at a time — same count,
 buckets, zeros, extrema and ``total`` bits — however the samples interleave
 with queries (``snapshot``, ``Metrics.since``), bulk recording
-(``observe_array``, ``absorb``) and ``reset``.
+(``observe_array``, ``absorb``) and ``reset``.  Buckets must also appear
+in the order per-sample observation creates them, zeros and samples in
+[0.5, 1) — which share frexp's exponent 0 — included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.histogram import Histogram, HistogramSnapshot
@@ -22,6 +24,8 @@ samples = st.one_of(
     st.integers(min_value=0, max_value=64),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     st.floats(min_value=1e-12, max_value=1e-3),
+    # Bucket 0 is also frexp's exponent of 0.0.
+    st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
 )
 steps = st.lists(
     st.one_of(
@@ -43,11 +47,13 @@ steps = st.lists(
 
 
 def state(h: Histogram) -> tuple:
+    """Exact state, bucket order included (snapshots are rendered as-is)."""
     s = h.snapshot()
-    return (s.count, s.total, s.zeros, s.buckets, s.minimum, s.maximum)
+    return (s.count, s.total, s.zeros, list(s.buckets.items()), s.minimum, s.maximum)
 
 
 @given(steps)
+@example([("sample", v) for v in (0.0, 0.0, 0.0, 0.25, 0.75)])
 @settings(max_examples=300, deadline=None)
 def test_pending_samples_fold_like_observe(steps):
     deferred_bag, eager_bag = Metrics(), Metrics()
